@@ -26,6 +26,11 @@ def log_sum_exp(terms) -> float:
     return m + math.log(total)
 
 
+def log_sum_exp_rows(log_weights, kernel) -> np.ndarray:
+    """Row i holds ln sum_j exp(log_weights[j] + kernel[i, j]), via log_sum_exp."""
+    return np.array([log_sum_exp(log_weights + row) for row in kernel])
+
+
 def log_sum_exp_axis0(matrix: np.ndarray) -> np.ndarray:
     """Vectorized log-sum-exp down the first axis of a 2-D array.
 

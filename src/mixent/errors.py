@@ -5,6 +5,10 @@ class MixtureError(ValueError):
     """Base class for all mixture-model and estimator errors."""
 
 
+class NonFiniteValue(MixtureError):
+    """Weights, means, covariances and box bounds must be finite numbers."""
+
+
 class EmptyMixture(MixtureError):
     """A mixture needs at least one component."""
 
@@ -43,6 +47,10 @@ class NotHomoscedastic(MixtureError):
 
 class UnsupportedDistance(MixtureError):
     """The requested pairwise distance is not defined for this family."""
+
+
+class BoundViolated(MixtureError):
+    """A measured quantity broke a bound that the theory guarantees."""
 
 
 class DegreesOfFreedomTooSmall(MixtureError):

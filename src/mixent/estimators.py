@@ -18,17 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import fsum, log_sum_exp
-from .errors import AlphaOutOfRange, UnsupportedDistance
-from .gaussian import (
-    GaussianComponent,
-    gaussian_chernoff,
-    gaussian_elk_log_cross,
-    gaussian_kl,
-)
+from ._numeric import fsum, log_sum_exp_rows
+from .errors import AlphaOutOfRange, BoundViolated, UnsupportedDistance
+# Re-exported, not called here: ``mixent.estimators.gaussian_kl`` was a public
+# name before the component methods, and bench/tests/test_bench.py reads it.
+from .gaussian import gaussian_kl  # noqa: F401
 from .mixture import Grouping, MixtureModel
 from .montecarlo import McResult, mc_entropy
-from .uniform import UniformBox, uniform_bd, uniform_elk_log_cross, uniform_kl
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,10 @@ def chernoff_distance(alpha: float) -> DistanceKind:
 def pairwise_distance_matrix(mixture: MixtureModel, kind: DistanceKind) -> np.ndarray:
     """N x N matrix of D(p_i || p_j) with the diagonal pinned to exactly zero.
 
-    Entries may be +inf (disjoint or non-nested box supports); negatives
-    cannot occur because every closed form clamps rounding residue at zero.
+    KL and Chernoff entries come from the components' ``kl`` and ``chernoff``
+    methods.  Entries may be +inf (disjoint or non-nested box supports);
+    negatives cannot occur because every closed form clamps rounding residue
+    at zero.
     """
     comps = mixture.components
     n = len(comps)
@@ -64,32 +62,19 @@ def pairwise_distance_matrix(mixture: MixtureModel, kind: DistanceKind) -> np.nd
     if kind.name == "dmin":
         return out
     if kind.name == "dmax":
-        for i in range(n):
-            for j in range(n):
-                if i != j and not comps[i].equal_fields(comps[j]):
-                    out[i, j] = math.inf
-        return out
-
-    if kind.name == "kl":
-        pair = gaussian_kl if isinstance(comps[0], GaussianComponent) else uniform_kl
+        def pair(a, b):
+            return 0.0 if a.equal_fields(b) else math.inf
+    elif kind.name == "kl":
+        def pair(a, b):
+            return a.kl(b)
     elif kind.name == "chernoff":
-        alpha = kind.alpha
-        if alpha is None or not 0.0 <= alpha <= 1.0:
-            raise AlphaOutOfRange(f"chernoff order must lie in [0, 1], got {alpha}")
-        if isinstance(comps[0], GaussianComponent):
-            def pair(a, b):
-                return gaussian_chernoff(a, b, alpha)
-        elif alpha == 0.5:
-            pair = uniform_bd
-        else:
-            raise UnsupportedDistance(
-                f"box components support only order 0.5, got chernoff({alpha})"
-            )
+        if kind.alpha is None or not 0.0 <= kind.alpha <= 1.0:
+            raise AlphaOutOfRange(f"chernoff order must lie in [0, 1], got {kind.alpha}")
+
+        def pair(a, b):
+            return a.chernoff(b, kind.alpha)
     else:
         raise UnsupportedDistance(f"unknown distance kind {kind.name!r}")
-
-    if not isinstance(comps[0], (GaussianComponent, UniformBox)):
-        raise UnsupportedDistance(f"no distances defined for {type(comps[0]).__name__}")
     for i in range(n):
         for j in range(n):
             if i != j:
@@ -97,24 +82,22 @@ def pairwise_distance_matrix(mixture: MixtureModel, kind: DistanceKind) -> np.nd
     return out
 
 
-def pairwise_estimate(mixture: MixtureModel, kind: DistanceKind) -> float:
-    """Evaluate the pairwise-distance entropy estimator for one distance choice.
+def _estimate_from_matrix(mixture: MixtureModel, dmat: np.ndarray) -> float:
+    """The estimator value for a prebuilt distance matrix.
 
-    The inner reduction is a max-shifted log-sum-exp over ln c_j - D_ij
-    restricted to positive-weight components; the j = i term contributes
-    ln c_i exactly because the diagonal is pinned to zero.  Each inner value
-    is capped at zero (the weights sum to one by construction), which keeps
-    the floor-and-ceiling bracket exact in floating point as well.
+    Over positive-weight components, each inner log-sum-exp of ln c_j - D_ij
+    is capped at zero (the weights sum to one), which keeps the
+    floor-and-ceiling bracket exact in floating point as well.
     """
-    dmat = pairwise_distance_matrix(mixture, kind)
     weights = mixture.weights
     active = mixture.active_indices()
-    log_w = np.log(weights[active])
-    terms = []
-    for row, i in enumerate(active):
-        inner = log_sum_exp(log_w - dmat[i, active])
-        terms.append(weights[i] * min(inner, 0.0))
-    return mixture.conditional_entropy() - fsum(terms)
+    inner = log_sum_exp_rows(np.log(weights[active]), -dmat[np.ix_(active, active)])
+    return mixture.conditional_entropy() - fsum(weights[active] * np.minimum(inner, 0.0))
+
+
+def pairwise_estimate(mixture: MixtureModel, kind: DistanceKind) -> float:
+    """Evaluate the pairwise-distance entropy estimator for one distance choice."""
+    return _estimate_from_matrix(mixture, pairwise_distance_matrix(mixture, kind))
 
 
 def lower_bound_chernoff(mixture: MixtureModel, alpha: float) -> float:
@@ -137,40 +120,23 @@ def bias_bound(mixture: MixtureModel) -> float:
     return mixture.weight_entropy()
 
 
-def _location(component) -> np.ndarray:
-    return component.mean if isinstance(component, GaussianComponent) else component.center()
-
-
 def kde_estimate(mixture: MixtureModel) -> float:
     """Kernel-density baseline: minus the average mixture log density at the
-    component locations (Gaussian means, box centers)."""
-    locations = np.array([_location(c) for c in mixture.components])
-    values = mixture.log_density(locations)
+    component centers (Gaussian means, box centers)."""
+    values = mixture.log_density(np.array([c.center() for c in mixture.components]))
     weights = mixture.weights
     active = mixture.active_indices()
     return -fsum(weights[active] * values[active])
-
-
-def _elk_log_cross(a, b) -> float:
-    if isinstance(a, GaussianComponent):
-        return gaussian_elk_log_cross(a, b)
-    return uniform_elk_log_cross(a, b)
 
 
 def elk_estimate(mixture: MixtureModel) -> float:
     """Expected-likelihood-kernel baseline, a further lower bound on the entropy:
     -sum_i c_i ln sum_j c_j int p_i p_j."""
     comps = mixture.components
-    if not isinstance(comps[0], (GaussianComponent, UniformBox)):
-        raise UnsupportedDistance(f"no cross terms defined for {type(comps[0]).__name__}")
     weights = mixture.weights
     active = mixture.active_indices()
-    log_w = np.log(weights[active])
-    terms = []
-    for i in active:
-        cross = np.array([_elk_log_cross(comps[i], comps[j]) for j in active])
-        terms.append(weights[i] * log_sum_exp(log_w + cross))
-    return -fsum(terms)
+    cross = np.array([[comps[i].elk_log_cross(comps[j]) for j in active] for i in active])
+    return -fsum(weights[active] * log_sum_exp_rows(np.log(weights[active]), cross))
 
 
 def clustered_gap_bound(mixture: MixtureModel, grouping: Grouping, alpha: float) -> float:
@@ -182,33 +148,26 @@ def clustered_gap_bound(mixture: MixtureModel, grouping: Grouping, alpha: float)
 
         kappa + (number of non-empty groups - 1) * exp(-(1 - |1 - 2 alpha|) * beta)
 
-    which collapses to kappa as the groups separate.  The measured gap is
-    checked against the returned value.
+    which collapses to kappa as the groups separate.  A measured gap above
+    the returned value raises :class:`BoundViolated`.
     """
     if not 0.0 < alpha <= 1.0:
         raise AlphaOutOfRange(f"gap bound needs alpha in (0, 1], got {alpha}")
     kl = pairwise_distance_matrix(mixture, KL)
     bd = pairwise_distance_matrix(mixture, BHATTACHARYYA)
     active = mixture.active_indices()
-    labels = grouping.assignment
-    kappa = 0.0
-    beta = math.inf
-    for i in active:
-        for j in active:
-            if i == j:
-                continue
-            if labels[i] == labels[j]:
-                kappa = max(kappa, kl[i, j])
-            else:
-                beta = min(beta, bd[i, j])
+    labels = np.asarray(grouping.assignment)[active]
+    same = labels[:, None] == labels[None, :]  # kl's zero diagonal cannot raise kappa
+    sub = np.ix_(active, active)
+    kappa = float(kl[sub][same].max(initial=0.0))
+    beta = float(bd[sub][~same].min(initial=math.inf))
     rate = 1.0 - abs(1.0 - 2.0 * alpha)
-    if math.isinf(beta):
-        decay = 0.0 if rate > 0.0 else 1.0
-    else:
-        decay = math.exp(-rate * beta)
+    decay = 1.0 if rate == 0.0 else math.exp(-rate * beta)
     bound = kappa + (grouping.n_groups - 1) * decay
-    gap = upper_bound_kl(mixture) - lower_bound_chernoff(mixture, alpha)
-    assert gap <= bound + 1e-9, f"measured gap {gap} exceeds bound {bound}"
+    chernoff = bd if alpha == 0.5 else pairwise_distance_matrix(mixture, chernoff_distance(alpha))
+    gap = _estimate_from_matrix(mixture, kl) - _estimate_from_matrix(mixture, chernoff)
+    if gap > bound + 1e-9:
+        raise BoundViolated(f"measured gap {gap} exceeds bound {bound}")
     return bound
 
 

@@ -309,12 +309,15 @@ def read_csv(path) -> list[SweepRow]:
     if not lines or lines[0] != CSV_HEADER:
         raise MixtureError(f"unrecognized CSV header in {path}")
     rows = []
-    for line in lines[1:]:
-        experiment, param, estimator, value, err = line.split(",")
-        rows.append(
-            SweepRow(experiment, float(param), estimator, float(value),
-                     None if err == "" else float(err))
-        )
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            experiment, param, estimator, value, err = line.split(",")
+            rows.append(
+                SweepRow(experiment, float(param), estimator, float(value),
+                         None if err == "" else float(err))
+            )
+        except ValueError as exc:
+            raise MixtureError(f"{path} line {number}: {exc}") from None
     return rows
 
 

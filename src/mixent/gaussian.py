@@ -12,10 +12,11 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._numeric import fsum, log_sum_exp
+from ._numeric import fsum, log_sum_exp_rows
 from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
+    NonFiniteValue,
     NotHomoscedastic,
     NotPositiveDefinite,
 )
@@ -41,7 +42,8 @@ class GaussianComponent:
         raises :class:`NotPositiveDefinite` at construction time.
 
     The lower-triangular Cholesky factor is computed once and reused by
-    every downstream operation.
+    every downstream operation.  The estimators reach the pair closed forms
+    below through the ``kl``, ``chernoff`` and ``elk_log_cross`` methods.
     """
 
     __slots__ = ("mean", "cov", "chol", "log_det")
@@ -55,6 +57,8 @@ class GaussianComponent:
             raise DimensionMismatch(
                 f"covariance shape {cov.shape} does not match dimension {mean.size}"
             )
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise NonFiniteValue("mean and covariance entries must be finite")
         scale = float(np.abs(cov).max())
         if not np.allclose(cov, cov.T, rtol=_SYMMETRY_RTOL, atol=_SYMMETRY_RTOL * max(scale, 1.0)):
             raise NotPositiveDefinite("covariance matrix is not symmetric")
@@ -102,6 +106,18 @@ class GaussianComponent:
     def equal_fields(self, other) -> bool:
         """Exact field-wise equality of mean and covariance."""
         return np.array_equal(self.mean, other.mean) and np.array_equal(self.cov, other.cov)
+
+    def center(self) -> np.ndarray:
+        return self.mean
+
+    def kl(self, other) -> float:
+        return gaussian_kl(self, other)
+
+    def chernoff(self, other, alpha: float) -> float:
+        return gaussian_chernoff(self, other, alpha)
+
+    def elk_log_cross(self, other) -> float:
+        return gaussian_elk_log_cross(self, other)
 
 
 def _check_pair(a: GaussianComponent, b: GaussianComponent) -> None:
@@ -181,9 +197,12 @@ def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
 
 
 def _shared_covariance(components) -> GaussianComponent:
+    if not all(isinstance(c, GaussianComponent) for c in components):
+        raise NotHomoscedastic("shared-covariance fast path is defined for gaussian mixtures")
     base = components[0]
+    tol = 1e-9 * float(np.abs(base.cov).max())
     for comp in components[1:]:
-        if float(np.abs(comp.cov - base.cov).max()) > 1e-9:
+        if float(np.abs(comp.cov - base.cov).max()) > tol:
             raise NotHomoscedastic("components do not share a single covariance matrix")
     return base
 
@@ -191,7 +210,8 @@ def _shared_covariance(components) -> GaussianComponent:
 def homoscedastic_chernoff_lower(mixture, alpha: float) -> float:
     """Shared-covariance Chernoff lower bound via rescaled kernel densities.
 
-    For components that all carry one covariance S the pairwise Chernoff
+    For components that all carry one covariance S (equal within a 1e-9
+    tolerance relative to the largest entry of S) the pairwise Chernoff
     bound collapses to
 
         d/2 + (d/2) ln(alpha (1 - alpha))
@@ -204,8 +224,6 @@ def homoscedastic_chernoff_lower(mixture, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"shared-covariance bound needs alpha in (0, 1), got {alpha}")
     comps = mixture.components
-    if not all(isinstance(c, GaussianComponent) for c in comps):
-        raise NotHomoscedastic("shared-covariance fast path is defined for gaussian mixtures")
     base = _shared_covariance(comps)
     d = base.dim
     scale = 1.0 / (alpha * (1.0 - alpha))
@@ -215,34 +233,10 @@ def homoscedastic_chernoff_lower(mixture, alpha: float) -> float:
     weights = mixture.weights
     active = np.flatnonzero(weights > 0)
     means = np.array([comps[i].mean for i in active])
-    log_w = np.log(weights[active])
-    terms = []
+    log_kernel = np.empty((active.size, active.size))
     for i in range(active.size):
         z = solve_triangular(chol, (means - means[i]).T, lower=True)
         quad = np.einsum("ij,ij->j", z, z)
-        log_kernel = -0.5 * (quad + log_det + d * _LOG_2PI)
-        inner = log_sum_exp(log_w + log_kernel)
-        terms.append(weights[active[i]] * inner)
-    return 0.5 * d + 0.5 * d * math.log(alpha * (1.0 - alpha)) - fsum(terms)
-
-
-def homoscedastic_kl_upper(mixture) -> float:
-    """Shared-covariance KL upper bound: d/2 minus the average log density at the means.
-
-    Exceeds the kernel-density baseline by exactly d/2, which is also a
-    useful cross-check of both code paths.
-    """
-    comps = mixture.components
-    if not all(isinstance(c, GaussianComponent) for c in comps):
-        raise NotHomoscedastic("shared-covariance fast path is defined for gaussian mixtures")
-    base = _shared_covariance(comps)
-    weights = mixture.weights
-    active = np.flatnonzero(weights > 0)
-    means = np.array([comps[i].mean for i in active])
-    log_w = np.log(weights[active])
-    terms = []
-    for i in range(active.size):
-        log_dens = np.array([comps[j].log_density(means[i]) for j in active])
-        inner = log_sum_exp(log_w + log_dens)
-        terms.append(weights[active[i]] * inner)
-    return 0.5 * base.dim - fsum(terms)
+        log_kernel[i] = -0.5 * (quad + log_det + d * _LOG_2PI)
+    inner = log_sum_exp_rows(np.log(weights[active]), log_kernel)
+    return 0.5 * d + 0.5 * d * math.log(alpha * (1.0 - alpha)) - fsum(weights[active] * inner)

@@ -19,12 +19,17 @@ from .errors import (
     MixedFamilies,
     MixtureError,
     NegativeWeight,
+    NonFiniteValue,
+    UnsupportedDistance,
     ZeroWeightSum,
 )
+from .gaussian import GaussianComponent
+from .uniform import UniformBox
 
 
 class MixtureModel:
-    """Weighted finite mixture of components from one family.
+    """Weighted finite mixture of components from one family: all
+    GaussianComponent or all UniformBox.
 
     Weights must be non-negative with a positive sum and are normalized at
     construction.  Zero weights are allowed: the component is kept but is
@@ -42,12 +47,16 @@ class MixtureModel:
             raise MixtureError(
                 f"got {weights.size} weights for {len(components)} components"
             )
+        if not np.isfinite(weights).all():
+            raise NonFiniteValue("component weights must be finite")
         if np.any(weights < 0):
             raise NegativeWeight("component weights must be non-negative")
         total = fsum(weights)
         if total <= 0:
             raise ZeroWeightSum("component weights must not all be zero")
         first = components[0]
+        if not isinstance(first, (GaussianComponent, UniformBox)):
+            raise UnsupportedDistance(f"no distances defined for {type(first).__name__}")
         for comp in components[1:]:
             if type(comp) is not type(first):
                 raise MixedFamilies("all components must come from one family")

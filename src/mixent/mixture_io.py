@@ -26,7 +26,11 @@ from .uniform import UniformBox
 
 
 def parse_mixture(data: dict) -> MixtureModel:
-    """Build a MixtureModel from a parsed mixture definition."""
+    """Build a MixtureModel from a parsed mixture definition.
+
+    Constructor errors keep their own MixtureError subclass; malformed
+    structure or non-numeric entries raise a plain MixtureError.
+    """
     try:
         family = data["family"]
         weights = data["weights"]
@@ -37,9 +41,11 @@ def parse_mixture(data: dict) -> MixtureModel:
             comps = [UniformBox(c["lower"], c["upper"]) for c in entries]
         else:
             raise MixtureError(f"unknown family {family!r}, expected 'gaussian' or 'uniform'")
-    except (KeyError, TypeError) as exc:
+        return MixtureModel(weights, comps)
+    except MixtureError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise MixtureError(f"malformed mixture definition: {exc}") from None
-    return MixtureModel(weights, comps)
 
 
 def load_mixture(path) -> MixtureModel:

@@ -11,11 +11,14 @@ import math
 import numpy as np
 
 from ._numeric import NEG_INF, fsum
-from .errors import DegenerateBox, DimensionMismatch
+from .errors import DegenerateBox, DimensionMismatch, NonFiniteValue, UnsupportedDistance
 
 
 class UniformBox:
-    """Uniform density on the closed axis-aligned box [lower, upper]."""
+    """Uniform density on the closed axis-aligned box [lower, upper].
+
+    Pair closed forms: ``kl``, ``chernoff`` (order 1/2 only), ``elk_log_cross``.
+    """
 
     __slots__ = ("lower", "upper", "log_volume")
 
@@ -24,6 +27,8 @@ class UniformBox:
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise DimensionMismatch("lower and upper must be vectors of equal length")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise NonFiniteValue("box bounds must be finite")
         sides = upper - lower
         if np.any(sides <= 0):
             raise DegenerateBox("every box side must have strictly positive length")
@@ -62,6 +67,17 @@ class UniformBox:
 
     def equal_fields(self, other) -> bool:
         return np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)
+
+    def kl(self, other) -> float:
+        return uniform_kl(self, other)
+
+    def chernoff(self, other, alpha: float) -> float:
+        if alpha != 0.5:
+            raise UnsupportedDistance(f"box components support only order 0.5, got {alpha}")
+        return uniform_bd(self, other)
+
+    def elk_log_cross(self, other) -> float:
+        return uniform_elk_log_cross(self, other)
 
 
 def box_overlap(a: UniformBox, b: UniformBox) -> tuple[float, bool]:

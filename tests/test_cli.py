@@ -94,6 +94,24 @@ def test_estimate_malformed_json_is_a_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**SINGLE_GAUSSIAN, "weights": "ab"},
+        {**SINGLE_GAUSSIAN, "components": [{"mean": [0.0], "cov": [["x"]]}]},
+        {**SINGLE_GAUSSIAN, "components": [{"mean": [math.nan], "cov": [[1.0]]}]},
+        {**SINGLE_GAUSSIAN, "weights": [math.inf]},
+        {**TWO_BOXES, "components": [{"lower": [0.0], "upper": [math.inf]}] * 2},
+    ],
+    ids=["text-weights", "text-cov", "nan-mean", "inf-weight", "inf-bound"],
+)
+def test_estimate_bad_numbers_are_one_line_errors(tmp_path, capsys, doc):
+    spec = write_json(tmp_path, "bad.json", doc)
+    assert main(["estimate", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------- sweep
 
 

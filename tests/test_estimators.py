@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixent.estimators
 from mixent import (
     BHATTACHARYYA,
     DMAX,
     DMIN,
     KL,
     AlphaOutOfRange,
+    BoundViolated,
     DistanceKind,
     GaussianComponent,
     Grouping,
@@ -24,7 +26,6 @@ from mixent import (
     clustered_gap_bound,
     elk_estimate,
     estimate_all,
-    homoscedastic_kl_upper,
     kde_estimate,
     lower_bound_bd,
     lower_bound_chernoff,
@@ -105,6 +106,12 @@ def test_uniform_mixture_rejects_general_chernoff_orders():
     mix = random_uniform_mixture(rng, 3, 2)
     with pytest.raises(UnsupportedDistance):
         pairwise_distance_matrix(mix, chernoff_distance(0.25))
+
+
+def test_single_box_mixture_accepts_any_chernoff_order():
+    # The order-0.5 rule is checked per pair, and one component has no pairs.
+    mix = MixtureModel([1.0], [UniformBox([0.0, 0.0], [1.0, 2.0])])
+    assert lower_bound_chernoff(mix, 0.25) == mix.conditional_entropy()
 
 
 def test_unknown_distance_kind_rejected():
@@ -236,7 +243,6 @@ def test_kde_tracks_the_kl_bound_for_shared_covariance():
         mix = random_gaussian_mixture(rng, 6, dim, shared_cov=cov)
         expected = upper_bound_kl(mix) - 0.5 * dim
         assert math.isclose(kde_estimate(mix), expected, abs_tol=1e-9)
-        assert math.isclose(homoscedastic_kl_upper(mix), upper_bound_kl(mix), abs_tol=1e-9)
 
 
 def test_elk_single_standard_normal():
@@ -316,6 +322,38 @@ def test_gap_bound_alpha_range():
             clustered_gap_bound(mix, grouping, alpha)
 
 
+@pytest.fixture
+def matrix_builds(monkeypatch):
+    """The distance kinds of every pairwise_distance_matrix call, in order."""
+    kinds = []
+    original = mixent.estimators.pairwise_distance_matrix
+
+    def counted(mixture, kind):
+        kinds.append(kind)
+        return original(mixture, kind)
+
+    monkeypatch.setattr(mixent.estimators, "pairwise_distance_matrix", counted)
+    return kinds
+
+
+@pytest.mark.parametrize("alpha, builds", [(0.5, 2), (0.3, 3)])
+def test_gap_bound_builds_each_distance_matrix_once(matrix_builds, alpha, builds):
+    rng = np.random.default_rng(19)
+    mix = random_gaussian_mixture(rng, 5, 2)
+    clustered_gap_bound(mix, Grouping(mix, [0, 0, 1, 1, 2]), alpha)
+    assert len(matrix_builds) == builds
+
+
+def test_gap_above_the_bound_raises(monkeypatch):
+    rng = np.random.default_rng(21)
+    mix = random_gaussian_mixture(rng, 3, 2)
+    # A KL estimate far above the Chernoff one stands in for a broken closed form.
+    estimates = iter([1e9, 0.0])
+    monkeypatch.setattr(mixent.estimators, "_estimate_from_matrix", lambda m, d: next(estimates))
+    with pytest.raises(BoundViolated):
+        clustered_gap_bound(mix, Grouping(mix, [0, 1, 2]), 0.5)
+
+
 def test_gap_bound_holds_on_random_grouped_mixtures():
     rng = np.random.default_rng(16)
     for _ in range(10):
@@ -336,6 +374,12 @@ def test_estimate_all_report_fields_and_ordering():
     assert report.h_cond <= report.h_bd <= report.h_kl <= report.h_joint
     assert report.h_cond == mix.conditional_entropy()
     assert "h_kde" in repr(report)
+
+
+def test_estimate_all_builds_two_distance_matrices(matrix_builds):
+    rng = np.random.default_rng(20)
+    estimate_all(random_gaussian_mixture(rng, 4, 2))
+    assert matrix_builds == [BHATTACHARYYA, KL]
 
 
 def test_estimate_all_with_monte_carlo():

@@ -303,6 +303,14 @@ def test_csv_rejects_empty_and_foreign_files(tmp_path):
         read_csv(bogus)
 
 
+@pytest.mark.parametrize("row", ["g1,0.5,H_KL", "g1,0.5,H_KL,1.3,,7", "g1,x,H_KL,1.3,"])
+def test_csv_bad_row_names_its_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\ng1,0.5,H_MC,1.25,0.03\n{row}\n", encoding="ascii")
+    with pytest.raises(MixtureError, match="line 3"):
+        read_csv(path)
+
+
 def test_csv_parses_manual_rows(tmp_path):
     rows = [
         SweepRow("g1", 0.5, "H_MC", 1.25, 0.03),

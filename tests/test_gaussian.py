@@ -12,6 +12,7 @@ from mixent import (
     DimensionMismatch,
     GaussianComponent,
     MixtureModel,
+    NonFiniteValue,
     NotHomoscedastic,
     NotPositiveDefinite,
     UniformBox,
@@ -22,7 +23,8 @@ from mixent import (
     gaussian_kl,
     gaussian_renyi,
     homoscedastic_chernoff_lower,
-    homoscedastic_kl_upper,
+    lower_bound_bd,
+    upper_bound_kl,
 )
 from support import random_spd
 
@@ -70,6 +72,22 @@ def test_indefinite_covariance_rejected():
 def test_numerically_singular_covariance_rejected():
     with pytest.raises(NotPositiveDefinite):
         GaussianComponent([0.0, 0.0], np.diag([1.0, 1e-15]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_mean_or_covariance_rejected(bad):
+    with pytest.raises(NonFiniteValue):
+        GaussianComponent([0.0, bad], np.eye(2))
+    with pytest.raises(NonFiniteValue):
+        GaussianComponent([0.0, 0.0], [[1.0, bad], [bad, 1.0]])
+
+
+def test_pair_methods_are_the_scalar_closed_forms():
+    a, b = random_pair(21)
+    assert a.kl(b) == gaussian_kl(a, b)
+    assert a.chernoff(b, 0.3) == gaussian_chernoff(a, b, 0.3)
+    assert a.elk_log_cross(b) == gaussian_elk_log_cross(a, b)
+    assert a.center() is a.mean
 
 
 def test_equal_fields():
@@ -297,14 +315,24 @@ def test_shared_covariance_required():
     mix = MixtureModel([0.5, 0.5], comps)
     with pytest.raises(NotHomoscedastic):
         homoscedastic_chernoff_lower(mix, 0.5)
-    with pytest.raises(NotHomoscedastic):
-        homoscedastic_kl_upper(mix)
+
+
+def test_shared_covariance_tolerance_is_relative_to_the_scale():
+    cov = 1e6 * np.eye(2)
+    comps = [
+        GaussianComponent(np.zeros(2), cov),
+        GaussianComponent(np.ones(2), cov * (1.0 + 1e-14)),
+    ]
+    mix = MixtureModel([0.5, 0.5], comps)
+    assert not np.array_equal(comps[0].cov, comps[1].cov)
+    lower = homoscedastic_chernoff_lower(mix, 0.5)
+    assert math.isclose(lower, lower_bound_bd(mix), rel_tol=1e-12)
 
 
 def test_shared_covariance_path_rejects_boxes():
     mix = MixtureModel([1.0], [UniformBox([0.0], [1.0])])
     with pytest.raises(NotHomoscedastic):
-        homoscedastic_kl_upper(mix)
+        homoscedastic_chernoff_lower(mix, 0.5)
 
 
 def test_shared_path_alpha_range():
@@ -320,12 +348,12 @@ def test_coincident_components_collapse_to_component_entropy():
     mix = MixtureModel([0.25, 0.75], [comp, GaussianComponent([0.5, -0.5], cov)])
     h = comp.entropy()
     assert math.isclose(homoscedastic_chernoff_lower(mix, 0.5), h, abs_tol=1e-12)
-    assert math.isclose(homoscedastic_kl_upper(mix), h, abs_tol=1e-12)
+    assert math.isclose(upper_bound_kl(mix), h, abs_tol=1e-12)
 
 
 def test_shared_path_brackets_run_in_the_right_order():
     mix = shared_cov_mixture(14)
     lower = homoscedastic_chernoff_lower(mix, 0.5)
-    upper = homoscedastic_kl_upper(mix)
+    upper = upper_bound_kl(mix)
     assert mix.conditional_entropy() - 1e-12 <= lower <= upper
     assert upper <= mix.joint_entropy_upper() + 1e-12

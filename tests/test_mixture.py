@@ -16,7 +16,9 @@ from mixent import (
     MixtureError,
     MixtureModel,
     NegativeWeight,
+    NonFiniteValue,
     UniformBox,
+    UnsupportedDistance,
     ZeroWeightSum,
 )
 from support import random_gaussian_mixture, random_uniform_mixture
@@ -43,6 +45,20 @@ def test_weight_count_must_match_components():
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
         MixtureModel([0.5, -0.1], [std_normal(), std_normal(shift=1.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_rejected(bad):
+    with pytest.raises(NonFiniteValue):
+        MixtureModel([bad, 1.0], [std_normal(), std_normal(shift=1.0)])
+
+
+def test_components_outside_both_families_rejected():
+    class Point:
+        dim = 1
+
+    with pytest.raises(UnsupportedDistance):
+        MixtureModel([0.5, 0.5], [Point(), Point()])
 
 
 def test_zero_weight_sum_rejected():

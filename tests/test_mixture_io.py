@@ -8,6 +8,8 @@ import pytest
 from mixent import (
     GaussianComponent,
     MixtureError,
+    NonFiniteValue,
+    NotPositiveDefinite,
     UniformBox,
     load_mixture,
     load_noise_cov,
@@ -108,3 +110,21 @@ def test_load_noise_cov_rejects_malformed(tmp_path):
     path.write_text(json.dumps([[1.0, 0.0], [0.0]]))
     with pytest.raises(MixtureError):
         load_noise_cov(path)
+
+
+def test_non_numeric_entries_become_mixture_errors():
+    for key, value in (("weights", "ab"), ("weights", [[1.0], [2.0, 3.0]])):
+        with pytest.raises(MixtureError, match="malformed"):
+            parse_mixture({**GAUSSIAN_DOC, key: value})
+    bad_cov = [{"mean": [0.0], "cov": [["x"]]}, {"mean": [2.0], "cov": [[1.0]]}]
+    with pytest.raises(MixtureError, match="malformed"):
+        parse_mixture({**GAUSSIAN_DOC, "components": bad_cov})
+
+
+def test_constructor_errors_keep_their_own_type():
+    nan_mean = [{"mean": [float("nan")], "cov": [[1.0]]}, {"mean": [2.0], "cov": [[1.0]]}]
+    with pytest.raises(NonFiniteValue):
+        parse_mixture({**GAUSSIAN_DOC, "components": nan_mean})
+    indefinite = [{"mean": [0.0], "cov": [[-1.0]]}, {"mean": [2.0], "cov": [[1.0]]}]
+    with pytest.raises(NotPositiveDefinite):
+        parse_mixture({**GAUSSIAN_DOC, "components": indefinite})

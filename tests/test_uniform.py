@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from mixent import (
     DegenerateBox,
     DimensionMismatch,
+    NonFiniteValue,
     UniformBox,
+    UnsupportedDistance,
     box_overlap,
     uniform_bd,
     uniform_elk_cross,
@@ -52,6 +54,24 @@ def test_degenerate_sides_rejected():
 def test_bound_shape_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         UniformBox([0.0, 0.0], [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_bounds_rejected(bad):
+    with pytest.raises(NonFiniteValue):
+        UniformBox([0.0, bad], [1.0, 1.0])
+    with pytest.raises(NonFiniteValue):
+        UniformBox([0.0, 0.0], [1.0, bad])
+
+
+def test_pair_methods_are_the_scalar_closed_forms():
+    a, b = random_box_pair(4)
+    assert a.kl(b) == uniform_kl(a, b)
+    assert a.chernoff(b, 0.5) == uniform_bd(a, b)
+    assert a.elk_log_cross(b) == uniform_elk_log_cross(a, b)
+    for alpha in (0.0, 0.25, 1.0):
+        with pytest.raises(UnsupportedDistance):
+            a.chernoff(b, alpha)
 
 
 def test_equal_fields():
