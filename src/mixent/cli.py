@@ -8,14 +8,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .errors import MixtureError
 from .estimators import estimate_all
 from .experiments import (
     EXPERIMENTS,
     SweepConfig,
     format_csv,
+    log_grid,
     render_svg,
     run_sweep,
     write_csv,
@@ -36,15 +35,6 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
     if steps < 1 or hi < lo:
         raise argparse.ArgumentTypeError(f"grid needs lo <= hi and steps >= 1, got {text!r}")
     return lo, hi, steps
-
-
-def _expand_grid(spec: tuple[float, float, int], experiment: str) -> tuple[float, ...]:
-    """Turn ln-space endpoints into grid values (integer dims for g4/u4)."""
-    lo, hi, steps = spec
-    values = np.exp(np.linspace(lo, hi, steps))
-    if experiment in ("g4", "u4"):
-        values = np.unique(np.rint(values))
-    return tuple(float(v) for v in values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +85,7 @@ def _run_estimate(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    grid = None if args.grid is None else _expand_grid(args.grid, args.experiment)
+    grid = None if args.grid is None else log_grid(args.experiment, *args.grid)
     config = SweepConfig(
         experiment=args.experiment,
         n_components=args.n,

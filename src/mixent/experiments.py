@@ -8,14 +8,18 @@ Eight experiment families are provided, four Gaussian and four uniform:
     g3 / u3   clustered: components share one of K cluster centers
     g4 / u4   dimension sweep at fixed unit spread
 
+Each experiment is one row of the sweep table ``_SWEEPS``: its default grid,
+and the generator that builds its mixture at one grid value.
+
 Every grid point derives its own generator and Monte Carlo seeds by hashing
 (master seed, experiment id, grid index) through numpy's SeedSequence, so
-sweeps are bit-reproducible at any shard or grid granularity.
+sweeps are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,16 +31,11 @@ from .gaussian import GaussianComponent
 from .mixture import Grouping, MixtureModel
 from .uniform import UniformBox
 
-EXPERIMENTS = ("g1", "g2", "g3", "g4", "u1", "u2", "u3", "u4")
-
 # Estimator order for report rows: Monte Carlo first, then the two certified
 # bounds, the two baselines, and the exact floor and ceiling.
 ESTIMATOR_ORDER = ("H_MC", "H_KL", "H_BD", "H_KDE", "H_ELK", "H_cond", "H_joint")
 
 CSV_HEADER = "experiment,param,estimator,value,stderr"
-
-_SIGMA_EXPERIMENTS = ("g1", "g3", "u1", "u2", "u3")
-_DIMENSION_EXPERIMENTS = {"g4": 60, "u4": 16}
 
 
 def gen_gaussian_spread(n_components: int, dim: int, sigma: float, seed) -> MixtureModel:
@@ -85,11 +84,18 @@ def gen_gaussian_wishart(n_components: int, dim: int, dof: float, seed) -> Mixtu
     return MixtureModel(np.ones(n_components), comps)
 
 
-def _cluster_assignment(rng, n_components: int, clusters: int, balanced: bool) -> np.ndarray:
+def _gen_clustered(make, n_components, dim, clusters, sigma, seed, balanced):
+    # shared body of the clustered generators; make(center) builds one component
+    if not 1 <= clusters <= n_components:
+        raise MixtureError(f"need 1 <= clusters <= components, got {clusters} of {n_components}")
+    rng = np.random.default_rng(seed)
+    centers = sigma * rng.standard_normal((clusters, dim))
     if balanced:
-        tiled = np.tile(np.arange(clusters), -(-n_components // clusters))[:n_components]
-        return rng.permutation(tiled)
-    return rng.integers(0, clusters, n_components)
+        labels = rng.permutation(np.resize(np.arange(clusters), n_components))
+    else:
+        labels = rng.integers(0, clusters, n_components)
+    mixture = MixtureModel(np.ones(n_components), [make(centers[g]) for g in labels])
+    return mixture, Grouping(mixture, labels)
 
 
 def gen_gaussian_clustered(
@@ -106,15 +112,9 @@ def gen_gaussian_clustered(
     clusters uniformly at random, or in equal counts when balanced is set.
     Returns the mixture together with the cluster grouping.
     """
-    if not 1 <= clusters <= n_components:
-        raise MixtureError(f"need 1 <= clusters <= components, got {clusters} of {n_components}")
-    rng = np.random.default_rng(seed)
-    centers = sigma * rng.standard_normal((clusters, dim))
-    labels = _cluster_assignment(rng, n_components, clusters, balanced)
     eye = np.eye(dim)
-    comps = [GaussianComponent(centers[g], eye) for g in labels]
-    mixture = MixtureModel(np.ones(n_components), comps)
-    return mixture, Grouping(mixture, labels)
+    return _gen_clustered(lambda center: GaussianComponent(center, eye),
+                          n_components, dim, clusters, sigma, seed, balanced)
 
 
 def gen_uniform_spread(n_components: int, dim: int, sigma: float, seed) -> MixtureModel:
@@ -148,32 +148,67 @@ def gen_uniform_clustered(
     balanced: bool = False,
 ) -> tuple[MixtureModel, Grouping]:
     """Unit-half-width boxes sharing one of `clusters` centers exactly."""
-    if not 1 <= clusters <= n_components:
-        raise MixtureError(f"need 1 <= clusters <= components, got {clusters} of {n_components}")
-    rng = np.random.default_rng(seed)
-    centers = sigma * rng.standard_normal((clusters, dim))
-    labels = _cluster_assignment(rng, n_components, clusters, balanced)
-    comps = [UniformBox(centers[g] - 1.0, centers[g] + 1.0) for g in labels]
-    mixture = MixtureModel(np.ones(n_components), comps)
-    return mixture, Grouping(mixture, labels)
+    return _gen_clustered(lambda center: UniformBox(center - 1.0, center + 1.0),
+                          n_components, dim, clusters, sigma, seed, balanced)
+
+
+# One row of the sweep table: ln_range(dim) gives the ln-space endpoints of the
+# default grid, sweeps_dim marks grids of mixture dimensions (rounded to
+# integers), and build(config, grid value, dimension, seed) makes the mixture.
+_Sweep = namedtuple("_Sweep", "ln_range sweeps_dim build")
+
+
+def _sigma(dim: int) -> tuple[float, float]:
+    return -3.0, 6.0
+
+
+# Builders call the gen_* functions by their global names at call time, so
+# rebinding a generator in this module reaches every sweep that uses it.
+_SWEEPS = {
+    "g1": _Sweep(_sigma, False, lambda c, v, d, s: gen_gaussian_spread(c.n_components, d, v, s)),
+    "g2": _Sweep(lambda dim: (math.log(dim), 8.0), False,
+                 lambda c, v, d, s: gen_gaussian_wishart(c.n_components, d, v, s)),
+    "g3": _Sweep(_sigma, False, lambda c, v, d, s: gen_gaussian_clustered(
+        c.n_components, d, c.clusters, v, s, c.balanced_clusters)[0]),
+    "g4": _Sweep(lambda dim: (0.0, math.log(60)), True,
+                 lambda c, v, d, s: gen_gaussian_spread(c.n_components, d, 1.0, s)),
+    "u1": _Sweep(_sigma, False, lambda c, v, d, s: gen_uniform_spread(c.n_components, d, v, s)),
+    "u2": _Sweep(_sigma, False, lambda c, v, d, s: gen_uniform_gamma(c.n_components, d, v, s)),
+    "u3": _Sweep(_sigma, False, lambda c, v, d, s: gen_uniform_clustered(
+        c.n_components, d, c.clusters, v, s, c.balanced_clusters)[0]),
+    "u4": _Sweep(lambda dim: (0.0, math.log(16)), True,
+                 lambda c, v, d, s: gen_uniform_spread(c.n_components, d, 1.0, s)),
+}
+
+EXPERIMENTS = tuple(_SWEEPS)
+
+
+def _lookup(experiment: str) -> _Sweep:
+    try:
+        return _SWEEPS[experiment]
+    except KeyError:
+        raise MixtureError(f"unknown experiment id {experiment!r}") from None
+
+
+def log_grid(experiment: str, lo: float, hi: float, steps: int) -> tuple[float, ...]:
+    """exp(linspace(lo, hi, steps)), rounded to unique integers for dimension sweeps.
+
+    Both default_grid and ``mixent sweep --grid lo:hi:steps`` build grids here.
+    """
+    values = np.exp(np.linspace(lo, hi, steps))
+    if _lookup(experiment).sweeps_dim:
+        values = np.unique(np.rint(values))
+    return tuple(float(v) for v in values)
 
 
 def default_grid(experiment: str, dim: int) -> tuple[float, ...]:
-    """Desk-scale default grids: nine log-spaced points per experiment.
+    """Desk-scale default grids: log_grid over the table row's ln range, nine steps.
 
     sigma-indexed experiments span ln sigma in [-3, 6]; the Wishart sweep
     spans ln dof in [ln dim, 8]; dimension sweeps cover 1..60 (Gaussian) or
     1..16 (uniform) with rounded log-spaced integers, deduplicated.
     """
-    if experiment in _SIGMA_EXPERIMENTS:
-        return tuple(np.exp(np.linspace(-3.0, 6.0, 9)))
-    if experiment == "g2":
-        return tuple(np.exp(np.linspace(math.log(dim), 8.0, 9)))
-    if experiment in _DIMENSION_EXPERIMENTS:
-        top = _DIMENSION_EXPERIMENTS[experiment]
-        dims = np.unique(np.rint(np.exp(np.linspace(0.0, math.log(top), 9))))
-        return tuple(float(v) for v in dims)
-    raise MixtureError(f"unknown experiment id {experiment!r}")
+    return log_grid(experiment, *_lookup(experiment).ln_range(dim), 9)
 
 
 @dataclass(frozen=True)
@@ -224,49 +259,27 @@ def _point_seeds(master_seed: int, experiment: str, index: int) -> tuple[int, in
     return gen_seed, mc_seed
 
 
-def _build_mixture(config: SweepConfig, value: float, seed: int) -> MixtureModel:
-    e = config.experiment
-    if e == "g1":
-        return gen_gaussian_spread(config.n_components, config.dim, value, seed)
-    if e == "g2":
-        return gen_gaussian_wishart(config.n_components, config.dim, value, seed)
-    if e == "g3":
-        return gen_gaussian_clustered(
-            config.n_components, config.dim, config.clusters, value, seed,
-            balanced=config.balanced_clusters,
-        )[0]
-    if e == "g4":
-        return gen_gaussian_spread(config.n_components, int(round(value)), 1.0, seed)
-    if e == "u1":
-        return gen_uniform_spread(config.n_components, config.dim, value, seed)
-    if e == "u2":
-        return gen_uniform_gamma(config.n_components, config.dim, value, seed)
-    if e == "u3":
-        return gen_uniform_clustered(
-            config.n_components, config.dim, config.clusters, value, seed,
-            balanced=config.balanced_clusters,
-        )[0]
-    if e == "u4":
-        return gen_uniform_spread(config.n_components, int(round(value)), 1.0, seed)
-    raise MixtureError(f"unknown experiment id {e!r}")
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Run one experiment sweep and return rows in (grid point, estimator) order.
 
     Each grid point contributes exactly one row per name in ESTIMATOR_ORDER;
     only the Monte Carlo row carries a standard error.
     """
-    if config.experiment not in EXPERIMENTS:
-        raise MixtureError(f"unknown experiment id {config.experiment!r}")
+    sweep = _lookup(config.experiment)
     if config.n_components < 1:
         raise MixtureError("need at least one component")
     if config.mc_samples < 2:
         raise MixtureError("need at least two Monte Carlo samples")
+    if not sweep.sweeps_dim and config.dim < 1:  # before default_grid takes ln dim
+        raise MixtureError(f"mixture dimension must be at least 1, got {config.dim}")
+    grid = config.resolved_grid()
+    dims = [int(round(v)) for v in grid] if sweep.sweeps_dim else [config.dim] * len(grid)
+    if min(dims) < 1:
+        raise MixtureError(f"mixture dimension must be at least 1, got {min(dims)}")
     rows: list[SweepRow] = []
-    for index, value in enumerate(config.resolved_grid()):
+    for index, (value, dim) in enumerate(zip(grid, dims)):
         gen_seed, mc_seed = _point_seeds(config.seed, config.experiment, index)
-        mixture = _build_mixture(config, value, gen_seed)
+        mixture = sweep.build(config, value, dim, gen_seed)
         report = estimate_all(mixture, mc_samples=config.mc_samples, seed=mc_seed)
         cells = {
             "H_MC": (report.mc.estimate, report.mc.stderr),

@@ -51,8 +51,8 @@ class GaussianComponent:
     def __init__(self, mean, cov):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        if mean.ndim != 1:
-            raise DimensionMismatch("mean must be a vector")
+        if mean.ndim != 1 or mean.size == 0:
+            raise DimensionMismatch("mean must be a non-empty vector")
         if cov.shape != (mean.size, mean.size):
             raise DimensionMismatch(
                 f"covariance shape {cov.shape} does not match dimension {mean.size}"

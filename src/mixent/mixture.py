@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numeric import NEG_INF, fsum, log_sum_exp_axis0
+from ._numeric import fsum, log_sum_exp_axis0
 from .errors import (
     DimensionMismatch,
     EmptyMixture,
@@ -160,7 +160,3 @@ class Grouping:
     def n_groups(self) -> int:
         """Number of groups that carry positive weight."""
         return sum(1 for w in self.group_weights.values() if w > 0)
-
-    def log_group_weight(self, label: int) -> float:
-        w = self.group_weights[label]
-        return float(np.log(w)) if w > 0 else NEG_INF

@@ -36,22 +36,18 @@ class McResult:
         return f"McResult(estimate={self.estimate!r}, stderr={self.stderr!r}, samples={self.samples})"
 
 
-def mc_entropy(mixture: MixtureModel, samples: int, seed: int, shards: int = 1) -> McResult:
+def mc_entropy(mixture: MixtureModel, samples: int, seed: int) -> McResult:
     """Estimate mixture entropy as the sample mean of -ln density.
 
     Parameters
     ----------
     mixture : MixtureModel
     samples : int
-        Total number of draws, at least 2 so the standard error exists.
+        Number of draws, at least 2 so the standard error exists.
     seed : int
-        Master seed.  Shard k draws from a generator built on
-        ``numpy.random.SeedSequence(seed, spawn_key=(k,))``, i.e. substream
-        keys are hashed from (seed, k), so a fixed (seed, shards) pair
+        Master seed.  Draws come from a generator built on
+        ``numpy.random.SeedSequence(seed, spawn_key=(0,))``, so a fixed seed
         always reproduces the same estimate bit for bit.
-    shards : int
-        Number of independent substreams.  Per-shard values are concatenated
-        in shard order before the single final reduction.
 
     Returns
     -------
@@ -61,21 +57,10 @@ def mc_entropy(mixture: MixtureModel, samples: int, seed: int, shards: int = 1) 
     samples = int(samples)
     if samples < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {samples}")
-    shards = int(shards)
-    if shards < 1 or shards > samples:
-        raise MixtureError(f"shard count must lie in [1, samples], got {shards}")
-    base, extra = divmod(samples, shards)
-    values = []
-    for k in range(shards):
-        count = base + (1 if k < extra else 0)
-        if count == 0:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        draws = mixture.sample(rng, count)
-        values.append(-mixture.log_density(draws))
-    stacked = np.concatenate(values)
-    estimate = float(np.mean(stacked))
-    spread = float(np.std(stacked, ddof=1))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    values = -mixture.log_density(mixture.sample(rng, samples))
+    estimate = float(np.mean(values))
+    spread = float(np.std(values, ddof=1))
     return McResult(estimate, spread / math.sqrt(samples), samples)
 
 

@@ -25,8 +25,8 @@ class UniformBox:
     def __init__(self, lower, upper):
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise DimensionMismatch("lower and upper must be vectors of equal length")
+        if lower.ndim != 1 or lower.shape != upper.shape or lower.size == 0:
+            raise DimensionMismatch("lower and upper must be non-empty vectors of equal length")
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
             raise NonFiniteValue("box bounds must be finite")
         sides = upper - lower

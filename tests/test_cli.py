@@ -5,9 +5,10 @@ import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
-from mixent import CSV_HEADER, ESTIMATOR_ORDER
+from mixent import CSV_HEADER, ESTIMATOR_ORDER, read_csv
 from mixent.cli import main
 
 SINGLE_GAUSSIAN = {
@@ -102,8 +103,9 @@ def test_estimate_malformed_json_is_a_runtime_error(tmp_path, capsys):
         {**SINGLE_GAUSSIAN, "components": [{"mean": [math.nan], "cov": [[1.0]]}]},
         {**SINGLE_GAUSSIAN, "weights": [math.inf]},
         {**TWO_BOXES, "components": [{"lower": [0.0], "upper": [math.inf]}] * 2},
+        {**TWO_BOXES, "components": [{"lower": [], "upper": []}] * 2},
     ],
-    ids=["text-weights", "text-cov", "nan-mean", "inf-weight", "inf-bound"],
+    ids=["text-weights", "text-cov", "nan-mean", "inf-weight", "inf-bound", "empty-box"],
 )
 def test_estimate_bad_numbers_are_one_line_errors(tmp_path, capsys, doc):
     spec = write_json(tmp_path, "bad.json", doc)
@@ -155,6 +157,39 @@ def test_sweep_usage_errors_exit_two(capsys):
     assert main(["sweep", "--experiment", "g1", "--grid", "2:1:5"]) == 2
     assert main(["sweep", "--experiment", "g1", "--grid", "0:1:0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--experiment", "g1", "--dim", "0"],
+        ["--experiment", "g1", "--dim=-1"],
+        ["--experiment", "g2", "--dim", "0"],
+        ["--experiment", "g4", "--grid=-2:0:3"],
+    ],
+    ids=["g1-dim-0", "g1-dim-negative", "g2-dim-0", "g4-grid-rounds-to-0"],
+)
+def test_sweep_bad_dimension_is_a_one_line_error(capsys, args):
+    assert main(["sweep", *args, "--n", "3", "--mc", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "dimension must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "experiment, lo, hi, steps", [("g4", 0.0, 3.0, 7), ("u4", 0.0, 2.5, 6)]
+)
+def test_sweep_dimension_grid_rounds_to_unique_integers(tmp_path, experiment, lo, hi, steps):
+    out = tmp_path / "dims.csv"
+    code = main(
+        ["sweep", "--experiment", experiment, "--grid", f"{lo}:{hi}:{steps}", "--n", "2",
+         "--mc", "50", "--out", str(out)]
+    )
+    assert code == 0
+    params = sorted({row.param for row in read_csv(out)})
+    expected = np.unique(np.rint(np.exp(np.linspace(lo, hi, steps))))
+    assert params == expected.tolist()
 
 
 def test_sweep_balanced_clusters_flag(tmp_path):

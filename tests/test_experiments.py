@@ -29,6 +29,7 @@ from mixent import (
     wishart_bartlett,
     write_csv,
 )
+from mixent import experiments
 from mixent.experiments import _point_seeds
 
 
@@ -245,6 +246,47 @@ def test_run_sweep_validation():
         run_sweep(small_config(n_components=0))
     with pytest.raises(MixtureError):
         run_sweep(small_config(mc_samples=1))
+
+
+def test_dimension_sweep_rounds_library_grids_to_the_nearest_dimension():
+    rows = run_sweep(small_config(experiment="g4", grid=(1.4, 2.6), n_components=3))
+    for param, dim in ((1.4, 1), (2.6, 3)):
+        cond = next(r.value for r in rows if r.param == param and r.estimator == "H_cond")
+        assert math.isclose(cond, 0.5 * dim * (math.log(2.0 * math.pi) + 1.0), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(experiment="g1", dim=0),
+        dict(experiment="g2", dim=-1, grid=None),
+        dict(experiment="u3", dim=0),
+        dict(experiment="g4", grid=(0.4, 2.0)),
+        dict(experiment="u4", grid=(-3.0, 2.0)),
+    ],
+)
+def test_run_sweep_rejects_dimensions_below_one_before_generating(monkeypatch, overrides):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator ran")
+
+    for name in ("gen_gaussian_spread", "gen_gaussian_wishart", "gen_uniform_clustered",
+                 "gen_uniform_spread"):
+        monkeypatch.setattr(experiments, name, refuse)
+    with pytest.raises(MixtureError, match="dimension must be at least 1"):
+        run_sweep(small_config(**overrides))
+
+
+def test_sweeps_call_the_generators_through_the_module_globals(monkeypatch):
+    calls = []
+    original = experiments.gen_gaussian_clustered
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "gen_gaussian_clustered", counting)
+    run_sweep(small_config(experiment="g3", clusters=2))
+    assert len(calls) == 2
 
 
 def test_spread_sweep_rises_with_sigma():

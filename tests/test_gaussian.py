@@ -57,6 +57,8 @@ def test_scalar_inputs_become_one_dimensional():
 def test_covariance_shape_must_match_mean():
     with pytest.raises(DimensionMismatch):
         GaussianComponent([0.0, 0.0], np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        GaussianComponent(np.zeros(0), np.eye(0))
 
 
 def test_asymmetric_covariance_rejected():

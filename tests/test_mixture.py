@@ -231,12 +231,6 @@ def test_grouping_weights_and_counts():
     total = math.fsum(grouping.group_weights.values())
     assert math.isclose(total, 1.0, abs_tol=1e-12)
     assert grouping.n_groups == 3
-    for label in (0, 1, 2):
-        assert math.isclose(
-            grouping.log_group_weight(label),
-            math.log(grouping.group_weights[label]),
-            abs_tol=1e-12,
-        )
 
 
 def test_grouping_ignores_zero_weight_groups():

@@ -42,14 +42,6 @@ def test_mc_requires_at_least_two_samples():
             mc_entropy(mix, n, seed=0)
 
 
-def test_mc_shard_count_validated():
-    mix = std_normal_mixture()
-    with pytest.raises(MixtureError):
-        mc_entropy(mix, 10, seed=0, shards=0)
-    with pytest.raises(MixtureError):
-        mc_entropy(mix, 10, seed=0, shards=11)
-
-
 def test_mc_unit_box_has_zero_entropy_and_zero_error():
     mix = MixtureModel([1.0], [UniformBox([0.0], [1.0])])
     result = mc_entropy(mix, 1000, seed=5)
@@ -64,22 +56,18 @@ def test_mc_standard_normal_within_three_stderr():
     assert abs(result.estimate - STD_NORMAL_ENTROPY) <= 3.0 * result.stderr
 
 
-def test_mc_is_deterministic_per_seed_and_shards():
+def test_mc_is_deterministic_per_seed():
     mix = std_normal_mixture()
-    a = mc_entropy(mix, 5000, seed=7, shards=3)
-    b = mc_entropy(mix, 5000, seed=7, shards=3)
+    a = mc_entropy(mix, 5000, seed=7)
+    b = mc_entropy(mix, 5000, seed=7)
     assert a.estimate == b.estimate and a.stderr == b.stderr
-    c = mc_entropy(mix, 5000, seed=8, shards=3)
+    c = mc_entropy(mix, 5000, seed=8)
     assert c.estimate != a.estimate
-
-
-def test_mc_sharding_changes_the_stream_but_not_the_target():
-    mix = std_normal_mixture()
-    whole = mc_entropy(mix, 40_000, seed=2, shards=1)
-    split = mc_entropy(mix, 40_000, seed=2, shards=8)
-    assert whole.estimate != split.estimate
-    for result in (whole, split):
-        assert abs(result.estimate - STD_NORMAL_ENTROPY) <= 3.0 * result.stderr
+    # the draws come from the (seed, spawn_key=(0,)) substream
+    rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(0,)))
+    values = -mix.log_density(mix.sample(rng, 5000))
+    assert a.estimate == float(np.mean(values))
+    assert a.stderr == float(np.std(values, ddof=1)) / math.sqrt(5000)
 
 
 def test_mc_stderr_shrinks_like_the_square_root_of_the_sample_count():

@@ -54,6 +54,8 @@ def test_degenerate_sides_rejected():
 def test_bound_shape_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         UniformBox([0.0, 0.0], [1.0])
+    with pytest.raises(DimensionMismatch):
+        UniformBox([], [])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
