@@ -41,10 +41,6 @@ class AlphaOutOfRange(MixtureError):
     """The order parameter alpha lies outside its admissible interval."""
 
 
-class NotHomoscedastic(MixtureError):
-    """The shared-covariance fast path needs equal covariances."""
-
-
 class UnsupportedDistance(MixtureError):
     """The requested pairwise distance is not defined for this family."""
 

@@ -37,8 +37,6 @@ class DistanceKind:
 
 KL = DistanceKind("kl")
 BHATTACHARYYA = DistanceKind("chernoff", 0.5)
-DMIN = DistanceKind("dmin")
-DMAX = DistanceKind("dmax")
 
 
 def chernoff_distance(alpha: float) -> DistanceKind:
@@ -59,12 +57,7 @@ def pairwise_distance_matrix(mixture: MixtureModel, kind: DistanceKind) -> np.nd
     comps = mixture.components
     n = len(comps)
     out = np.zeros((n, n))
-    if kind.name == "dmin":
-        return out
-    if kind.name == "dmax":
-        def pair(a, b):
-            return 0.0 if a.equal_fields(b) else math.inf
-    elif kind.name == "kl":
+    if kind.name == "kl":
         def pair(a, b):
             return a.kl(b)
     elif kind.name == "chernoff":
@@ -113,11 +106,6 @@ def lower_bound_bd(mixture: MixtureModel) -> float:
 def upper_bound_kl(mixture: MixtureModel) -> float:
     """Certified upper bound on mixture entropy from the KL divergence."""
     return pairwise_estimate(mixture, KL)
-
-
-def bias_bound(mixture: MixtureModel) -> float:
-    """Worst-case error of any member of the family: the weight entropy H(C)."""
-    return mixture.weight_entropy()
 
 
 def kde_estimate(mixture: MixtureModel) -> float:
@@ -171,6 +159,7 @@ def clustered_gap_bound(mixture: MixtureModel, grouping: Grouping, alpha: float)
     return bound
 
 
+@dataclass(frozen=True)
 class EstimateReport:
     """All analytic estimates for one mixture, plus an optional Monte Carlo row.
 
@@ -178,23 +167,13 @@ class EstimateReport:
     h_cond <= h_bd <= h_kl <= h_joint.
     """
 
-    __slots__ = ("h_cond", "h_joint", "h_bd", "h_kl", "h_kde", "h_elk", "mc")
-
-    def __init__(self, h_cond, h_joint, h_bd, h_kl, h_kde, h_elk, mc: McResult | None = None):
-        self.h_cond = float(h_cond)
-        self.h_joint = float(h_joint)
-        self.h_bd = float(h_bd)
-        self.h_kl = float(h_kl)
-        self.h_kde = float(h_kde)
-        self.h_elk = float(h_elk)
-        self.mc = mc
-
-    def __repr__(self):
-        return (
-            f"EstimateReport(h_cond={self.h_cond!r}, h_joint={self.h_joint!r}, "
-            f"h_bd={self.h_bd!r}, h_kl={self.h_kl!r}, h_kde={self.h_kde!r}, "
-            f"h_elk={self.h_elk!r}, mc={self.mc!r})"
-        )
+    h_cond: float
+    h_joint: float
+    h_bd: float
+    h_kl: float
+    h_kde: float
+    h_elk: float
+    mc: McResult | None = None
 
 
 def estimate_all(
@@ -202,10 +181,10 @@ def estimate_all(
 ) -> EstimateReport:
     """Run every estimator on one mixture.
 
-    Monte Carlo is included only when mc_samples is given; seed feeds its
-    substream derivation and nothing else.
+    Monte Carlo is included only when mc_samples is given (it must then be at
+    least 2); seed feeds its substream derivation and nothing else.
     """
-    mc = mc_entropy(mixture, mc_samples, seed) if mc_samples else None
+    mc = mc_entropy(mixture, mc_samples, seed) if mc_samples is not None else None
     return EstimateReport(
         h_cond=mixture.conditional_entropy(),
         h_joint=mixture.joint_entropy_upper(),

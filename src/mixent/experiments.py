@@ -194,8 +194,10 @@ def log_grid(experiment: str, lo: float, hi: float, steps: int) -> tuple[float, 
     """exp(linspace(lo, hi, steps)), rounded to unique integers for dimension sweeps.
 
     Both default_grid and ``mixent sweep --grid lo:hi:steps`` build grids here.
+    Non-finite values pass through quietly; SweepConfig.resolved_grid refuses them.
     """
-    values = np.exp(np.linspace(lo, hi, steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(np.linspace(lo, hi, steps))
     if _lookup(experiment).sweeps_dim:
         values = np.unique(np.rint(values))
     return tuple(float(v) for v in values)
@@ -216,8 +218,8 @@ class SweepConfig:
     """Configuration of one experiment sweep.
 
     grid=None selects the default grid for the experiment; grids must be
-    sorted ascending and non-empty.  balanced_clusters forces equal cluster
-    counts in the clustered experiments.
+    finite, strictly ascending and non-empty.  balanced_clusters forces equal
+    cluster counts in the clustered experiments.
     """
 
     experiment: str
@@ -234,6 +236,8 @@ class SweepConfig:
         grid = tuple(float(v) for v in grid)
         if not grid:
             raise MixtureError("sweep grid must not be empty")
+        if not all(math.isfinite(v) for v in grid):
+            raise MixtureError(f"sweep grid values must be finite, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise MixtureError("sweep grid must be strictly ascending")
         return grid
@@ -318,7 +322,10 @@ def write_csv(rows, path) -> None:
 
 def read_csv(path) -> list[SweepRow]:
     """Parse a sweep CSV back into rows (the inverse of write_csv)."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MixtureError(f"{path} is not ASCII text: {exc}") from None
     if not lines or lines[0] != CSV_HEADER:
         raise MixtureError(f"unrecognized CSV header in {path}")
     rows = []

@@ -12,14 +12,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._numeric import fsum, log_sum_exp_rows
-from .errors import (
-    AlphaOutOfRange,
-    DimensionMismatch,
-    NonFiniteValue,
-    NotHomoscedastic,
-    NotPositiveDefinite,
-)
+from .errors import AlphaOutOfRange, DimensionMismatch, NonFiniteValue, NotPositiveDefinite
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -103,10 +96,6 @@ class GaussianComponent:
         draws = self.mean + z @ self.chol.T
         return draws[0] if size is None else draws
 
-    def equal_fields(self, other) -> bool:
-        """Exact field-wise equality of mean and covariance."""
-        return np.array_equal(self.mean, other.mean) and np.array_equal(self.cov, other.cov)
-
     def center(self) -> np.ndarray:
         return self.mean
 
@@ -174,13 +163,6 @@ def gaussian_bd(a: GaussianComponent, b: GaussianComponent) -> float:
     return gaussian_chernoff(a, b, 0.5)
 
 
-def gaussian_renyi(a: GaussianComponent, b: GaussianComponent, alpha: float) -> float:
-    """Renyi divergence of order alpha in (0, 1), via C_alpha / (1 - alpha)."""
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"renyi order must lie strictly inside (0, 1), got {alpha}")
-    return gaussian_chernoff(a, b, alpha) / (1.0 - alpha)
-
-
 def gaussian_elk_log_cross(a: GaussianComponent, b: GaussianComponent) -> float:
     """ln int a(x) b(x) dx: the log density of N(mean_b, cov_a + cov_b) at mean_a."""
     _check_pair(a, b)
@@ -195,48 +177,3 @@ def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
     """Expected-likelihood kernel int a(x) b(x) dx; strictly positive and symmetric."""
     return math.exp(gaussian_elk_log_cross(a, b))
 
-
-def _shared_covariance(components) -> GaussianComponent:
-    if not all(isinstance(c, GaussianComponent) for c in components):
-        raise NotHomoscedastic("shared-covariance fast path is defined for gaussian mixtures")
-    base = components[0]
-    tol = 1e-9 * float(np.abs(base.cov).max())
-    for comp in components[1:]:
-        if float(np.abs(comp.cov - base.cov).max()) > tol:
-            raise NotHomoscedastic("components do not share a single covariance matrix")
-    return base
-
-
-def homoscedastic_chernoff_lower(mixture, alpha: float) -> float:
-    """Shared-covariance Chernoff lower bound via rescaled kernel densities.
-
-    For components that all carry one covariance S (equal within a 1e-9
-    tolerance relative to the largest entry of S) the pairwise Chernoff
-    bound collapses to
-
-        d/2 + (d/2) ln(alpha (1 - alpha))
-            - sum_i c_i ln sum_j c_j k_j(mean_i)
-
-    where k_j is a normal density centered at mean_j with covariance
-    S / (alpha (1 - alpha)).  Matches the generic pairwise path to within
-    accumulated rounding.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"shared-covariance bound needs alpha in (0, 1), got {alpha}")
-    comps = mixture.components
-    base = _shared_covariance(comps)
-    d = base.dim
-    scale = 1.0 / (alpha * (1.0 - alpha))
-    chol = base.chol * math.sqrt(scale)
-    log_det = base.log_det + d * math.log(scale)
-
-    weights = mixture.weights
-    active = np.flatnonzero(weights > 0)
-    means = np.array([comps[i].mean for i in active])
-    log_kernel = np.empty((active.size, active.size))
-    for i in range(active.size):
-        z = solve_triangular(chol, (means - means[i]).T, lower=True)
-        quad = np.einsum("ij,ij->j", z, z)
-        log_kernel[i] = -0.5 * (quad + log_det + d * _LOG_2PI)
-    inner = log_sum_exp_rows(np.log(weights[active]), log_kernel)
-    return 0.5 * d + 0.5 * d * math.log(alpha * (1.0 - alpha)) - fsum(weights[active] * inner)

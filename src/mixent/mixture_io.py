@@ -48,12 +48,19 @@ def parse_mixture(data: dict) -> MixtureModel:
         raise MixtureError(f"malformed mixture definition: {exc}") from None
 
 
-def load_mixture(path) -> MixtureModel:
-    """Read and validate a JSON mixture definition file."""
+def _read_json(path):
+    """Parse a UTF-8 JSON file; undecodable bytes and bad JSON are MixtureErrors."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MixtureError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MixtureError(f"{path} is not valid JSON: {exc}") from None
+
+
+def load_mixture(path) -> MixtureModel:
+    """Read and validate a JSON mixture definition file."""
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise MixtureError(f"{path} must hold a JSON object")
     return parse_mixture(data)
@@ -61,10 +68,7 @@ def load_mixture(path) -> MixtureModel:
 
 def load_noise_cov(path) -> np.ndarray:
     """Read a noise covariance from JSON: a bare matrix or an object with a 'cov' entry."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MixtureError(f"{path} is not valid JSON: {exc}") from None
+    data = _read_json(path)
     try:
         cov = data["cov"] if isinstance(data, dict) else data
         return np.atleast_2d(np.asarray(cov, dtype=float))

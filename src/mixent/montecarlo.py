@@ -9,6 +9,7 @@ piecewise-smooth integrands are handled at full accuracy.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +23,13 @@ __all__ = ["McResult", "mc_entropy", "quad_entropy_1d", "quad_cross_term_1d"]
 _MIN_POINTS = 101
 
 
+@dataclass(frozen=True)
 class McResult:
     """Monte Carlo estimate with its standard error and sample count."""
 
-    __slots__ = ("estimate", "stderr", "samples")
-
-    def __init__(self, estimate: float, stderr: float, samples: int):
-        self.estimate = float(estimate)
-        self.stderr = float(stderr)
-        self.samples = int(samples)
-
-    def __repr__(self):
-        return f"McResult(estimate={self.estimate!r}, stderr={self.stderr!r}, samples={self.samples})"
+    estimate: float
+    stderr: float
+    samples: int
 
 
 def mc_entropy(mixture: MixtureModel, samples: int, seed: int) -> McResult:

@@ -65,9 +65,6 @@ class UniformBox:
         draws = rng.uniform(self.lower, self.upper, size=(n, self.dim))
         return draws[0] if size is None else draws
 
-    def equal_fields(self, other) -> bool:
-        return np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)
-
     def kl(self, other) -> float:
         return uniform_kl(self, other)
 

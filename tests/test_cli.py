@@ -114,6 +114,30 @@ def test_estimate_bad_numbers_are_one_line_errors(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_estimate_mc_zero_is_refused(tmp_path, capsys):
+    spec = write_json(tmp_path, "single.json", SINGLE_GAUSSIAN)
+    assert main(["estimate", "--spec", spec, "--mc", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["estimate", "mi"])
+def test_undecodable_files_are_one_line_errors(tmp_path, capsys, command):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    bad = str(path)
+    if command == "estimate":
+        args = ["estimate", "--spec", bad]
+    else:
+        spec = write_json(tmp_path, "source.json", BINARY_SOURCE)
+        args = ["mi", "--spec", spec, "--noise", bad]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad in err
+
+
 # ----------------------------------------------------------------------- sweep
 
 
@@ -175,6 +199,15 @@ def test_sweep_bad_dimension_is_a_one_line_error(capsys, args):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "dimension must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3"])
+def test_sweep_non_finite_grid_is_a_one_line_error(capsys, grid):
+    assert main(["sweep", "--experiment", "g4", "--grid", grid, "--n", "2", "--mc", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "must be finite" in captured.err
 
 
 @pytest.mark.parametrize(

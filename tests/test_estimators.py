@@ -1,5 +1,6 @@
 """Pairwise-distance entropy bounds plus the kernel baselines."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,22 +11,21 @@ from hypothesis import strategies as st
 import mixent.estimators
 from mixent import (
     BHATTACHARYYA,
-    DMAX,
-    DMIN,
     KL,
     AlphaOutOfRange,
     BoundViolated,
     DistanceKind,
     GaussianComponent,
     Grouping,
+    InsufficientSamples,
     MixtureModel,
     UniformBox,
     UnsupportedDistance,
-    bias_bound,
     chernoff_distance,
     clustered_gap_bound,
     elk_estimate,
     estimate_all,
+    gen_gaussian_wishart,
     kde_estimate,
     lower_bound_bd,
     lower_bound_chernoff,
@@ -44,8 +44,14 @@ from support import (
 TWO_FAR_APART_UPPER = 2.112085713764618  # component entropy plus ln 2
 ELK_SINGLE_STANDARD_NORMAL = 1.2655121234846454  # half of ln(4 pi)
 FAR_SINGLETON_GAP_BOUND = 1.3838965267367376e-87  # exp(-200)
+WISHART_REPORT_REPR = (
+    "EstimateReport(h_cond=4.91960236170858, h_joint=9.52477254769667, "
+    "h_bd=7.2001748411150635, h_kl=9.347213413959182, h_kde=6.3910655750057686, "
+    "h_elk=7.329284752613618, mc=McResult(estimate=7.889452168525433, "
+    "stderr=0.03319343581672895, samples=2000))"
+)
 
-ALL_KINDS = (KL, BHATTACHARYYA, chernoff_distance(0.25), DMIN, DMAX)
+ALL_KINDS = (KL, BHATTACHARYYA, chernoff_distance(0.25))
 
 
 def two_far_apart() -> MixtureModel:
@@ -75,21 +81,6 @@ def test_distance_matrix_diagonal_is_exactly_zero(family, kind):
     assert dmat.shape == (5, 5)
     assert (np.diag(dmat) == 0.0).all()
     assert (dmat >= 0.0).all()
-
-
-def test_dmin_matrix_is_all_zero():
-    rng = np.random.default_rng(1)
-    mix = random_gaussian_mixture(rng, 4, 2)
-    assert not pairwise_distance_matrix(mix, DMIN).any()
-
-
-def test_dmax_matrix_marks_distinct_components_infinite():
-    a = GaussianComponent([0.0], [[1.0]])
-    b = GaussianComponent([1.0], [[1.0]])
-    mix = MixtureModel([0.3, 0.3, 0.4], [a, GaussianComponent([0.0], [[1.0]]), b])
-    dmat = pairwise_distance_matrix(mix, DMAX)
-    assert dmat[0, 1] == 0.0  # identical fields, even as separate objects
-    assert dmat[0, 2] == math.inf and dmat[2, 1] == math.inf
 
 
 def test_kl_matrix_is_asymmetric_where_bd_is_symmetric():
@@ -154,12 +145,18 @@ def test_bound_ordering_lower_below_upper(seed, family):
 
 
 def test_trivial_distance_endpoints():
+    # Chernoff order 0 gives an all-zero matrix, hence the floor (see
+    # test_boundary_chernoff_orders_collapse_to_the_floor); pairwise disjoint
+    # boxes give all-infinite KL and BD matrices, hence exactly the ceiling.
     rng = np.random.default_rng(5)
     mix = random_gaussian_mixture(rng, 6, 3)
-    cond = mix.conditional_entropy()
-    dmin_est = pairwise_estimate(mix, DMIN)
-    assert cond <= dmin_est <= cond + 1e-12
-    assert pairwise_estimate(mix, DMAX) == mix.joint_entropy_upper()
+    assert not pairwise_distance_matrix(mix, chernoff_distance(0.0)).any()
+    boxes = [UniformBox([3.0 * k], [3.0 * k + 1.0 + 0.5 * k]) for k in range(4)]
+    disjoint = MixtureModel([0.1, 0.2, 0.3, 0.4], boxes)
+    for kind in (KL, BHATTACHARYYA):
+        offdiag = pairwise_distance_matrix(disjoint, kind)[~np.eye(4, dtype=bool)]
+        assert (offdiag == math.inf).all()
+        assert pairwise_estimate(disjoint, kind) == disjoint.joint_entropy_upper()
 
 
 def test_boundary_chernoff_orders_collapse_to_the_floor():
@@ -184,7 +181,7 @@ def test_identical_components_recover_component_entropy():
     twin = GaussianComponent([1.0, -1.0], np.diag([2.0, 0.5]))
     mix = MixtureModel([0.4, 0.6], [comp, twin])
     h = comp.entropy()
-    for kind in (KL, BHATTACHARYYA, DMIN):
+    for kind in (KL, BHATTACHARYYA, chernoff_distance(0.0)):
         assert math.isclose(pairwise_estimate(mix, kind), h, abs_tol=1e-12)
 
 
@@ -256,18 +253,12 @@ def test_elk_far_separated_pair_adds_the_weight_entropy():
     assert math.isclose(elk_estimate(mix), expected, abs_tol=1e-9)
 
 
-def test_bias_bound_is_the_weight_entropy():
-    rng = np.random.default_rng(12)
-    mix = random_gaussian_mixture(rng, 5, 2)
-    assert bias_bound(mix) == mix.weight_entropy()
-
-
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
 def test_estimates_stay_within_the_bias_bound_of_monte_carlo(family):
     rng = np.random.default_rng(13)
     mix = random_mixture(rng, 6, 2, family)
     mc = mc_entropy(mix, 20_000, seed=99)
-    budget = bias_bound(mix) + 3.0 * mc.stderr
+    budget = mix.weight_entropy() + 3.0 * mc.stderr
     assert abs(upper_bound_kl(mix) - mc.estimate) <= budget
     assert abs(lower_bound_bd(mix) - mc.estimate) <= budget
 
@@ -389,3 +380,18 @@ def test_estimate_all_with_monte_carlo():
     assert report.mc is not None and report.mc.samples == 5000
     assert report.h_bd - 3.0 * report.mc.stderr <= report.mc.estimate
     assert report.mc.estimate <= report.h_kl + 3.0 * report.mc.stderr
+
+
+def test_estimate_all_refuses_too_few_monte_carlo_samples():
+    mix = MixtureModel([1.0], [GaussianComponent([0.0], [[1.0]])])
+    for samples in (0, 1):
+        with pytest.raises(InsufficientSamples):
+            estimate_all(mix, mc_samples=samples)
+
+
+def test_report_repr_is_pinned_and_frozen():
+    report = estimate_all(gen_gaussian_wishart(100, 5, 12.0, 3), mc_samples=2000, seed=1)
+    assert repr(report) == WISHART_REPORT_REPR
+    for record, field in ((report, "h_kl"), (report.mc, "estimate")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, 0.0)

@@ -70,7 +70,7 @@ def test_gaussian_spread_deterministic_per_seed():
     a = gen_gaussian_spread(4, 2, 1.0, seed=9)
     b = gen_gaussian_spread(4, 2, 1.0, seed=9)
     for x, y in zip(a.components, b.components):
-        assert x.equal_fields(y)
+        assert np.array_equal(x.mean, y.mean) and np.array_equal(x.cov, y.cov)
 
 
 def test_wishart_needs_enough_degrees_of_freedom():
@@ -201,6 +201,9 @@ def test_resolved_grid_validation():
         small_config(grid=(2.0, 1.0)).resolved_grid()
     with pytest.raises(MixtureError):
         small_config(grid=(1.0, 1.0)).resolved_grid()
+    for bad in ((float("nan"),), (0.5, float("inf")), (float("-inf"), 1.0)):
+        with pytest.raises(MixtureError, match="finite"):
+            small_config(grid=bad).resolved_grid()
 
 
 # ---------------------------------------------------------------- sweep driver
@@ -350,6 +353,13 @@ def test_csv_bad_row_names_its_line(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"{CSV_HEADER}\ng1,0.5,H_MC,1.25,0.03\n{row}\n", encoding="ascii")
     with pytest.raises(MixtureError, match="line 3"):
+        read_csv(path)
+
+
+def test_csv_non_ascii_file_is_a_mixture_error(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(f"{CSV_HEADER}\ng1,0.5,H_MC,1.25,0.03\xe9\n".encode("latin-1"))
+    with pytest.raises(MixtureError, match="latin.csv"):
         read_csv(path)
 
 

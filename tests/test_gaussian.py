@@ -1,4 +1,4 @@
-"""Gaussian components: construction, entropy, divergences, fast paths."""
+"""Gaussian components: construction, entropy, divergences, shared-covariance bounds."""
 
 import math
 
@@ -13,16 +13,12 @@ from mixent import (
     GaussianComponent,
     MixtureModel,
     NonFiniteValue,
-    NotHomoscedastic,
     NotPositiveDefinite,
-    UniformBox,
     gaussian_bd,
     gaussian_chernoff,
     gaussian_elk_cross,
     gaussian_elk_log_cross,
     gaussian_kl,
-    gaussian_renyi,
-    homoscedastic_chernoff_lower,
     lower_bound_bd,
     upper_bound_kl,
 )
@@ -90,13 +86,6 @@ def test_pair_methods_are_the_scalar_closed_forms():
     assert a.chernoff(b, 0.3) == gaussian_chernoff(a, b, 0.3)
     assert a.elk_log_cross(b) == gaussian_elk_log_cross(a, b)
     assert a.center() is a.mean
-
-
-def test_equal_fields():
-    a = gauss1(0.0, 1.0)
-    assert a.equal_fields(gauss1(0.0, 1.0))
-    assert not a.equal_fields(gauss1(0.0, 2.0))
-    assert not a.equal_fields(gauss1(1e-300, 1.0))
 
 
 # --------------------------------------------------------- entropy and density
@@ -245,27 +234,6 @@ def test_chernoff_coefficient_is_midpoint_convex_in_order(seed):
         assert mid <= 0.5 * (lo + hi) + 1e-12
 
 
-def test_renyi_scales_the_chernoff_exponent():
-    a, b = random_pair(8)
-    for alpha in (0.2, 0.5, 0.8):
-        expected = gaussian_chernoff(a, b, alpha) / (1.0 - alpha)
-        assert math.isclose(gaussian_renyi(a, b, alpha), expected, rel_tol=1e-12)
-
-
-def test_renyi_rejects_boundary_orders():
-    a, b = random_pair(9)
-    for alpha in (0.0, 1.0, -0.2, 1.2):
-        with pytest.raises(AlphaOutOfRange):
-            gaussian_renyi(a, b, alpha)
-
-
-def test_renyi_approaches_kl_near_order_one():
-    a, b = gauss1(0.0, 1.0), gauss1(1.0, 2.0)
-    assert math.isclose(
-        gaussian_renyi(a, b, 1.0 - 1e-6), gaussian_kl(a, b), abs_tol=1e-4
-    )
-
-
 # -------------------------------------------------------------- overlap kernel
 
 
@@ -298,7 +266,7 @@ def test_elk_cross_decays_with_separation():
     assert far < near
 
 
-# ------------------------------------------------------ shared-covariance path
+# ------------------------------------------------- shared-covariance mixtures
 
 
 def shared_cov_mixture(seed: int, n: int = 5, dim: int = 3) -> MixtureModel:
@@ -308,54 +276,18 @@ def shared_cov_mixture(seed: int, n: int = 5, dim: int = 3) -> MixtureModel:
     return MixtureModel(rng.uniform(0.2, 1.0, n), comps)
 
 
-def test_shared_covariance_required():
-    rng = np.random.default_rng(12)
-    comps = [
-        GaussianComponent(np.zeros(2), np.eye(2)),
-        GaussianComponent(np.ones(2), 2.0 * np.eye(2)),
-    ]
-    mix = MixtureModel([0.5, 0.5], comps)
-    with pytest.raises(NotHomoscedastic):
-        homoscedastic_chernoff_lower(mix, 0.5)
-
-
-def test_shared_covariance_tolerance_is_relative_to_the_scale():
-    cov = 1e6 * np.eye(2)
-    comps = [
-        GaussianComponent(np.zeros(2), cov),
-        GaussianComponent(np.ones(2), cov * (1.0 + 1e-14)),
-    ]
-    mix = MixtureModel([0.5, 0.5], comps)
-    assert not np.array_equal(comps[0].cov, comps[1].cov)
-    lower = homoscedastic_chernoff_lower(mix, 0.5)
-    assert math.isclose(lower, lower_bound_bd(mix), rel_tol=1e-12)
-
-
-def test_shared_covariance_path_rejects_boxes():
-    mix = MixtureModel([1.0], [UniformBox([0.0], [1.0])])
-    with pytest.raises(NotHomoscedastic):
-        homoscedastic_chernoff_lower(mix, 0.5)
-
-
-def test_shared_path_alpha_range():
-    mix = shared_cov_mixture(13)
-    for alpha in (0.0, 1.0, -0.3, 1.3):
-        with pytest.raises(AlphaOutOfRange):
-            homoscedastic_chernoff_lower(mix, alpha)
-
-
 def test_coincident_components_collapse_to_component_entropy():
     cov = np.diag([1.0, 3.0])
     comp = GaussianComponent([0.5, -0.5], cov)
     mix = MixtureModel([0.25, 0.75], [comp, GaussianComponent([0.5, -0.5], cov)])
     h = comp.entropy()
-    assert math.isclose(homoscedastic_chernoff_lower(mix, 0.5), h, abs_tol=1e-12)
+    assert math.isclose(lower_bound_bd(mix), h, abs_tol=1e-12)
     assert math.isclose(upper_bound_kl(mix), h, abs_tol=1e-12)
 
 
 def test_shared_path_brackets_run_in_the_right_order():
     mix = shared_cov_mixture(14)
-    lower = homoscedastic_chernoff_lower(mix, 0.5)
+    lower = lower_bound_bd(mix)
     upper = upper_bound_kl(mix)
     assert mix.conditional_entropy() - 1e-12 <= lower <= upper
     assert upper <= mix.joint_entropy_upper() + 1e-12

@@ -33,3 +33,36 @@ def test_experiment_ids_live_only_in_the_sweep_table():
         if isinstance(node, ast.Constant) and node.value in ids
     ]
     assert not found, f"experiment id literals outside experiments.py: {found}"
+
+
+def test_component_type_checks_stay_in_the_oracle_modules():
+    # Family differences live on the component classes; only the mixture
+    # container and the oracles that work outside the closed forms test types.
+    allowed = {"mixture.py", "montecarlo.py", "mutual_info.py"}
+    families = {"GaussianComponent", "UniformBox"}
+
+    def names(node):  # a bare name, module.Name, a tuple or an X | Y union
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+    sources = sorted(Path(mixent.__file__).parent.glob("*.py"))
+    assert any(path.name == "gaussian.py" for path in sources)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        if path.name not in allowed
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2
+        and names(node.args[1]) & families
+    ]
+    assert not found, f"component isinstance checks outside {sorted(allowed)}: {found}"
+
+
+def test_public_names_are_unique_and_resolve():
+    assert len(mixent.__all__) == len(set(mixent.__all__))
+    missing = [name for name in mixent.__all__ if not hasattr(mixent, name)]
+    assert not missing, f"__all__ names that do not resolve: {missing}"
+    namespace = {}
+    exec("from mixent import *", namespace)
+    assert set(mixent.__all__) <= set(namespace)

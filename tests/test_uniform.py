@@ -76,11 +76,6 @@ def test_pair_methods_are_the_scalar_closed_forms():
             a.chernoff(b, alpha)
 
 
-def test_equal_fields():
-    assert unit_box(2).equal_fields(unit_box(2))
-    assert not unit_box(2).equal_fields(UniformBox([0.0, 0.0], [1.0, 1.5]))
-
-
 # ----------------------------------------------------------- entropy / density
 
 
