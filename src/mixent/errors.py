@@ -42,7 +42,7 @@ class AlphaOutOfRange(MixtureError):
 
 
 class UnsupportedDistance(MixtureError):
-    """The requested pairwise distance is not defined for this family."""
+    """The distance kind or the component type is not one the estimators know."""
 
 
 class BoundViolated(MixtureError):

@@ -29,10 +29,20 @@ from .montecarlo import McResult, mc_entropy
 
 @dataclass(frozen=True)
 class DistanceKind:
-    """Selector for the pairwise distance driving the estimator family."""
+    """Selector for the pairwise distance driving the estimator family: ``kl``,
+    or ``chernoff`` with an order alpha in [0, 1]; anything else is refused."""
 
     name: str
     alpha: float | None = None
+
+    def __post_init__(self):
+        if self.name not in ("kl", "chernoff"):
+            raise UnsupportedDistance(f"unknown distance kind {self.name!r}")
+        if self.name == "chernoff" and (self.alpha is None or not 0.0 <= self.alpha <= 1.0):
+            raise AlphaOutOfRange(f"chernoff order must lie in [0, 1], got {self.alpha}")
+
+    def between(self, a, b) -> float:
+        return a.kl(b) if self.name == "kl" else a.chernoff(b, self.alpha)
 
 
 KL = DistanceKind("kl")
@@ -41,37 +51,22 @@ BHATTACHARYYA = DistanceKind("chernoff", 0.5)
 
 def chernoff_distance(alpha: float) -> DistanceKind:
     """Chernoff divergence of the given order; valid distances need alpha in [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise AlphaOutOfRange(f"chernoff order must lie in [0, 1], got {alpha}")
     return DistanceKind("chernoff", float(alpha))
 
 
 def pairwise_distance_matrix(mixture: MixtureModel, kind: DistanceKind) -> np.ndarray:
     """N x N matrix of D(p_i || p_j) with the diagonal pinned to exactly zero.
 
-    KL and Chernoff entries come from the components' ``kl`` and ``chernoff``
-    methods.  Entries may be +inf (disjoint or non-nested box supports);
-    negatives cannot occur because every closed form clamps rounding residue
-    at zero.
+    Entries may be +inf (disjoint or non-nested box supports); negatives
+    cannot occur because every closed form clamps rounding residue at zero.
     """
     comps = mixture.components
     n = len(comps)
     out = np.zeros((n, n))
-    if kind.name == "kl":
-        def pair(a, b):
-            return a.kl(b)
-    elif kind.name == "chernoff":
-        if kind.alpha is None or not 0.0 <= kind.alpha <= 1.0:
-            raise AlphaOutOfRange(f"chernoff order must lie in [0, 1], got {kind.alpha}")
-
-        def pair(a, b):
-            return a.chernoff(b, kind.alpha)
-    else:
-        raise UnsupportedDistance(f"unknown distance kind {kind.name!r}")
     for i in range(n):
         for j in range(n):
             if i != j:
-                out[i, j] = pair(comps[i], comps[j])
+                out[i, j] = kind.between(comps[i], comps[j])
     return out
 
 

@@ -274,6 +274,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         raise MixtureError("need at least one component")
     if config.mc_samples < 2:
         raise MixtureError("need at least two Monte Carlo samples")
+    if config.seed < 0:
+        raise MixtureError(f"seed must be non-negative, got {config.seed}")
     if not sweep.sweeps_dim and config.dim < 1:  # before default_grid takes ln dim
         raise MixtureError(f"mixture dimension must be at least 1, got {config.dim}")
     grid = config.resolved_grid()

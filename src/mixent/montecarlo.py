@@ -41,7 +41,7 @@ def mc_entropy(mixture: MixtureModel, samples: int, seed: int) -> McResult:
     samples : int
         Number of draws, at least 2 so the standard error exists.
     seed : int
-        Master seed.  Draws come from a generator built on
+        Non-negative master seed.  Draws come from a generator built on
         ``numpy.random.SeedSequence(seed, spawn_key=(0,))``, so a fixed seed
         always reproduces the same estimate bit for bit.
 
@@ -53,6 +53,8 @@ def mc_entropy(mixture: MixtureModel, samples: int, seed: int) -> McResult:
     samples = int(samples)
     if samples < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {samples}")
+    if seed < 0:
+        raise MixtureError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     values = -mixture.log_density(mixture.sample(rng, samples))
     estimate = float(np.mean(values))

@@ -11,13 +11,13 @@ import math
 import numpy as np
 
 from ._numeric import NEG_INF, fsum
-from .errors import DegenerateBox, DimensionMismatch, NonFiniteValue, UnsupportedDistance
+from .errors import AlphaOutOfRange, DegenerateBox, DimensionMismatch, NonFiniteValue
 
 
 class UniformBox:
     """Uniform density on the closed axis-aligned box [lower, upper].
 
-    Pair closed forms: ``kl``, ``chernoff`` (order 1/2 only), ``elk_log_cross``.
+    Pair closed forms: ``kl``, ``chernoff`` (any order in [0, 1]), ``elk_log_cross``.
     """
 
     __slots__ = ("lower", "upper", "log_volume")
@@ -69,26 +69,21 @@ class UniformBox:
         return uniform_kl(self, other)
 
     def chernoff(self, other, alpha: float) -> float:
-        if alpha != 0.5:
-            raise UnsupportedDistance(f"box components support only order 0.5, got {alpha}")
-        return uniform_bd(self, other)
+        return uniform_chernoff(self, other, alpha)
 
     def elk_log_cross(self, other) -> float:
         return uniform_elk_log_cross(self, other)
 
 
-def box_overlap(a: UniformBox, b: UniformBox) -> tuple[float, bool]:
-    """Log volume of the intersection box plus an emptiness flag.
-
-    The per-dimension overlap is max(0, min(upper) - max(lower)); boxes that
-    merely touch have zero-measure overlap and count as empty.
-    """
+def _log_overlap(a: UniformBox, b: UniformBox) -> float:
+    """Log volume of the intersection box, whose sides are min(upper) - max(lower);
+    -inf when a side is not positive (zero measure, as for boxes that touch)."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"component dimensions differ: {a.dim} vs {b.dim}")
     sides = np.minimum(a.upper, b.upper) - np.maximum(a.lower, b.lower)
     if np.any(sides <= 0):
-        return NEG_INF, True
-    return fsum(np.log(sides)), False
+        return NEG_INF
+    return fsum(np.log(sides))
 
 
 def uniform_kl(a: UniformBox, b: UniformBox) -> float:
@@ -101,20 +96,26 @@ def uniform_kl(a: UniformBox, b: UniformBox) -> float:
     return max(b.log_volume - a.log_volume, 0.0)
 
 
+def uniform_chernoff(a: UniformBox, b: UniformBox, alpha: float) -> float:
+    """Chernoff divergence -ln int a^alpha b^(1-alpha) dx for alpha in [0, 1]:
+    alpha ln V_a + (1 - alpha) ln V_b - ln V_overlap, +inf if the boxes are
+    disjoint.  As for Gaussians, the boundary orders give exactly zero."""
+    if not 0.0 <= alpha <= 1.0:
+        raise AlphaOutOfRange(f"chernoff order must lie in [0, 1], got {alpha}")
+    log_overlap = _log_overlap(a, b)
+    if alpha == 0.0 or alpha == 1.0:
+        return 0.0
+    return max(alpha * a.log_volume + (1.0 - alpha) * b.log_volume - log_overlap, 0.0)
+
+
 def uniform_bd(a: UniformBox, b: UniformBox) -> float:
-    """Bhattacharyya distance: (ln V_a + ln V_b) / 2 - ln V_overlap, +inf if disjoint."""
-    log_overlap, empty = box_overlap(a, b)
-    if empty:
-        return math.inf
-    return max(0.5 * a.log_volume + 0.5 * b.log_volume - log_overlap, 0.0)
+    """Bhattacharyya distance: the order-1/2 Chernoff divergence."""
+    return uniform_chernoff(a, b, 0.5)
 
 
 def uniform_elk_log_cross(a: UniformBox, b: UniformBox) -> float:
     """ln int a(x) b(x) dx = ln V_overlap - ln V_a - ln V_b, or -inf if disjoint."""
-    log_overlap, empty = box_overlap(a, b)
-    if empty:
-        return NEG_INF
-    return log_overlap - (a.log_volume + b.log_volume)
+    return _log_overlap(a, b) - (a.log_volume + b.log_volume)
 
 
 def uniform_elk_cross(a: UniformBox, b: UniformBox) -> float:

@@ -201,6 +201,21 @@ def test_sweep_bad_dimension_is_a_one_line_error(capsys, args):
     assert "dimension must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_negative_seed_is_a_one_line_error(tmp_path, capsys, command):
+    if command == "estimate":
+        spec = write_json(tmp_path, "single.json", SINGLE_GAUSSIAN)
+        args = ["estimate", "--spec", spec, "--mc", "10", "--seed", "-1"]
+    else:
+        args = ["sweep", "--experiment", "g1", "--seed", "-1", "--mc", "10", "--n", "2",
+                "--grid", "0:1:2"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "seed must be non-negative" in captured.err
+
+
 @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3"])
 def test_sweep_non_finite_grid_is_a_one_line_error(capsys, grid):
     assert main(["sweep", "--experiment", "g4", "--grid", grid, "--n", "2", "--mc", "50"]) == 1

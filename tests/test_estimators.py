@@ -25,6 +25,7 @@ from mixent import (
     clustered_gap_bound,
     elk_estimate,
     estimate_all,
+    gaussian_chernoff,
     gen_gaussian_wishart,
     kde_estimate,
     lower_bound_bd,
@@ -32,6 +33,8 @@ from mixent import (
     mc_entropy,
     pairwise_distance_matrix,
     pairwise_estimate,
+    quad_cross_term_1d,
+    uniform_chernoff,
     upper_bound_kl,
 )
 from support import (
@@ -52,6 +55,7 @@ WISHART_REPORT_REPR = (
 )
 
 ALL_KINDS = (KL, BHATTACHARYYA, chernoff_distance(0.25))
+FAMILY_CHERNOFF = {"gaussian": gaussian_chernoff, "uniform": uniform_chernoff}
 
 
 def two_far_apart() -> MixtureModel:
@@ -70,11 +74,56 @@ def test_chernoff_distance_factory_validates_order():
             chernoff_distance(alpha)
 
 
+def test_distance_kind_refuses_bad_orders_at_construction():
+    for alpha in (None, -0.1, 1.5, math.nan):
+        with pytest.raises(AlphaOutOfRange):
+            DistanceKind("chernoff", alpha)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_chernoff_contract_is_the_same_for_both_families(family):
+    # Overlapping 2-D components, so the interior orders give finite values.
+    rng = np.random.default_rng(23)
+    a, b = random_mixture(rng, 2, 2, family, spread=0.3).components
+    chernoff = FAMILY_CHERNOFF[family]
+    for alpha in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+        assert a.chernoff(b, alpha) == chernoff(a, b, alpha)
+    for alpha in (0.1, 0.5, 0.9):
+        assert 0.0 < chernoff(a, b, alpha) < math.inf
+    for alpha in (0.0, 1.0):
+        assert chernoff(a, b, alpha) == 0.0
+        assert chernoff(b, a, alpha) == 0.0
+    for alpha in (-0.1, 1.1):
+        with pytest.raises(AlphaOutOfRange):
+            a.chernoff(b, alpha)
+        with pytest.raises(AlphaOutOfRange):
+            chernoff(a, b, alpha)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+@settings(max_examples=40, deadline=None)
+def test_box_chernoff_matches_quadrature(seed, alpha):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1.0, 1.0, 2)
+    a, b = (UniformBox([x], [x + w]) for x, w in zip(lo, rng.uniform(0.2, 2.0, 2)))
+    if min(a.upper[0], b.upper[0]) <= max(a.lower[0], b.lower[0]):
+        assert uniform_chernoff(a, b, alpha) == math.inf
+    else:
+        quad = -math.log(quad_cross_term_1d(a, b, "chernoff", alpha=alpha))
+        assert abs(uniform_chernoff(a, b, alpha) - quad) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8])
+def test_disjoint_or_touching_boxes_are_infinitely_far(alpha):
+    unit = UniformBox([0.0, 0.0], [1.0, 1.0])
+    for other in (UniformBox([1.0, 0.0], [2.0, 1.0]), UniformBox([0.5, 3.0], [1.5, 4.0])):
+        assert uniform_chernoff(unit, other, alpha) == math.inf
+        assert uniform_chernoff(other, unit, alpha) == math.inf
+
+
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.name}-{k.alpha}")
 def test_distance_matrix_diagonal_is_exactly_zero(family, kind):
-    if family == "uniform" and kind.name == "chernoff" and kind.alpha != 0.5:
-        pytest.skip("box components only support order one half")
     rng = np.random.default_rng(42)
     mix = random_mixture(rng, 5, 2, family)
     dmat = pairwise_distance_matrix(mix, kind)
@@ -92,24 +141,29 @@ def test_kl_matrix_is_asymmetric_where_bd_is_symmetric():
     assert np.allclose(bd, bd.T, atol=1e-10)
 
 
-def test_uniform_mixture_rejects_general_chernoff_orders():
+def test_uniform_mixture_takes_every_chernoff_order():
     rng = np.random.default_rng(3)
-    mix = random_uniform_mixture(rng, 3, 2)
-    with pytest.raises(UnsupportedDistance):
-        pairwise_distance_matrix(mix, chernoff_distance(0.25))
+    mix = random_uniform_mixture(rng, 3, 2, spread=0.5)
+    cond = mix.conditional_entropy()
+    for alpha in np.linspace(0.0, 1.0, 11):
+        dmat = pairwise_distance_matrix(mix, chernoff_distance(alpha))
+        assert (dmat >= 0.0).all()
+        assert cond <= lower_bound_chernoff(mix, alpha) <= mix.joint_entropy_upper()
+        if alpha in (0.0, 1.0):
+            assert not dmat.any()
+        else:
+            assert np.isfinite(dmat).all() and dmat.sum() > 0.0
 
 
 def test_single_box_mixture_accepts_any_chernoff_order():
-    # The order-0.5 rule is checked per pair, and one component has no pairs.
+    # One component has no pairs, so every order gives its entropy.
     mix = MixtureModel([1.0], [UniformBox([0.0, 0.0], [1.0, 2.0])])
     assert lower_bound_chernoff(mix, 0.25) == mix.conditional_entropy()
 
 
 def test_unknown_distance_kind_rejected():
-    rng = np.random.default_rng(4)
-    mix = random_gaussian_mixture(rng, 3, 2)
     with pytest.raises(UnsupportedDistance):
-        pairwise_distance_matrix(mix, DistanceKind("hellinger"))
+        DistanceKind("hellinger")
 
 
 # ----------------------------------------------------------- bracket estimates
@@ -126,8 +180,6 @@ def test_every_estimate_sits_inside_the_exact_bracket(seed, family):
     lo = mix.conditional_entropy()
     hi = mix.joint_entropy_upper()
     for kind in ALL_KINDS:
-        if family == "uniform" and kind.name == "chernoff" and kind.alpha != 0.5:
-            continue
         est = pairwise_estimate(mix, kind)
         assert lo <= est <= hi  # exact in floating point, no slack
 
@@ -159,9 +211,10 @@ def test_trivial_distance_endpoints():
         assert pairwise_estimate(disjoint, kind) == disjoint.joint_entropy_upper()
 
 
-def test_boundary_chernoff_orders_collapse_to_the_floor():
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_boundary_chernoff_orders_collapse_to_the_floor(family):
     rng = np.random.default_rng(6)
-    mix = random_gaussian_mixture(rng, 4, 2)
+    mix = random_mixture(rng, 4, 2, family)
     cond = mix.conditional_entropy()
     for alpha in (0.0, 1.0):
         est = lower_bound_chernoff(mix, alpha)
@@ -251,6 +304,19 @@ def test_elk_far_separated_pair_adds_the_weight_entropy():
     mix = two_far_apart()
     expected = ELK_SINGLE_STANDARD_NORMAL + math.log(2.0)
     assert math.isclose(elk_estimate(mix), expected, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33, 34, 35])
+def test_every_chernoff_order_bounds_box_mixtures_from_below(seed):
+    # The paper's theorem for any family, with the Monte Carlo oracle as truth.
+    rng = np.random.default_rng(seed)
+    mix = random_uniform_mixture(rng, int(rng.integers(3, 7)), int(rng.integers(1, 4)))
+    mc = mc_entropy(mix, 20_000, seed=99)
+    upper = upper_bound_kl(mix)
+    for alpha in (0.1, 0.25, 0.75, 0.9):
+        lower = lower_bound_chernoff(mix, alpha)
+        assert mix.conditional_entropy() <= lower <= mc.estimate + 3.0 * mc.stderr
+        assert lower <= upper
 
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])

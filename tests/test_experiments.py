@@ -251,6 +251,11 @@ def test_run_sweep_validation():
         run_sweep(small_config(mc_samples=1))
 
 
+def test_run_sweep_refuses_a_negative_seed():
+    with pytest.raises(MixtureError, match="seed must be non-negative"):
+        run_sweep(small_config(seed=-1))
+
+
 def test_dimension_sweep_rounds_library_grids_to_the_nearest_dimension():
     rows = run_sweep(small_config(experiment="g4", grid=(1.4, 2.6), n_components=3))
     for param, dim in ((1.4, 1), (2.6, 3)):

@@ -42,6 +42,12 @@ def test_mc_requires_at_least_two_samples():
             mc_entropy(mix, n, seed=0)
 
 
+def test_mc_refuses_a_negative_seed():
+    # numpy's SeedSequence would raise a bare ValueError deeper down.
+    with pytest.raises(MixtureError, match="seed must be non-negative"):
+        mc_entropy(std_normal_mixture(), 10, -1)
+
+
 def test_mc_unit_box_has_zero_entropy_and_zero_error():
     mix = MixtureModel([1.0], [UniformBox([0.0], [1.0])])
     result = mc_entropy(mix, 1000, seed=5)

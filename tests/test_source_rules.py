@@ -66,3 +66,22 @@ def test_public_names_are_unique_and_resolve():
     namespace = {}
     exec("from mixent import *", namespace)
     assert set(mixent.__all__) <= set(namespace)
+
+
+def test_family_modules_refuse_no_distance():
+    # Every family takes every distance kind the estimators offer, so only an
+    # unknown kind name or component type is unsupported, and neither of
+    # those is decided in a family module.
+    def names(node):
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+    package = Path(mixent.__file__).parent
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("gaussian.py", "uniform.py")
+        for node in ast.walk(ast.parse((package / name).read_text(), filename=name))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "UnsupportedDistance" in names(node.exc)
+    ]
+    assert not found, f"family modules refusing a distance: {found}"

@@ -12,13 +12,13 @@ from mixent import (
     DimensionMismatch,
     NonFiniteValue,
     UniformBox,
-    UnsupportedDistance,
-    box_overlap,
     uniform_bd,
+    uniform_chernoff,
     uniform_elk_cross,
     uniform_elk_log_cross,
     uniform_kl,
 )
+from mixent.uniform import _log_overlap
 
 
 def unit_box(dim: int = 1) -> UniformBox:
@@ -69,11 +69,10 @@ def test_non_finite_bounds_rejected(bad):
 def test_pair_methods_are_the_scalar_closed_forms():
     a, b = random_box_pair(4)
     assert a.kl(b) == uniform_kl(a, b)
-    assert a.chernoff(b, 0.5) == uniform_bd(a, b)
     assert a.elk_log_cross(b) == uniform_elk_log_cross(a, b)
-    for alpha in (0.0, 0.25, 1.0):
-        with pytest.raises(UnsupportedDistance):
-            a.chernoff(b, alpha)
+    for alpha in (0.0, 0.25, 0.5, 1.0):
+        assert a.chernoff(b, alpha) == uniform_chernoff(a, b, alpha)
+    assert a.chernoff(b, 0.5) == uniform_bd(a, b)
 
 
 # ----------------------------------------------------------- entropy / density
@@ -122,38 +121,32 @@ def test_center_and_sampling():
 
 def test_overlap_of_identical_boxes_is_their_volume():
     box = UniformBox([0.0, 0.0], [2.0, 3.0])
-    log_vol, empty = box_overlap(box, box)
-    assert not empty
-    assert math.isclose(log_vol, math.log(6.0), abs_tol=1e-12)
+    assert math.isclose(_log_overlap(box, box), math.log(6.0), abs_tol=1e-12)
 
 
 def test_partial_overlap_interval_example():
     a = UniformBox([0.0], [2.0])
     b = UniformBox([1.0], [3.0])
-    log_vol, empty = box_overlap(a, b)
-    assert not empty
-    assert math.isclose(log_vol, 0.0, abs_tol=1e-12)
+    assert math.isclose(_log_overlap(a, b), 0.0, abs_tol=1e-12)
 
 
 def test_touching_boxes_count_as_disjoint():
     a = UniformBox([0.0], [1.0])
     b = UniformBox([1.0], [2.0])
-    _, empty = box_overlap(a, b)
-    assert empty
+    assert _log_overlap(a, b) == -math.inf
 
 
 def test_disjoint_in_one_axis_is_disjoint_overall():
     a = UniformBox([0.0, 0.0], [1.0, 1.0])
     b = UniformBox([0.5, 2.0], [1.5, 3.0])
-    _, empty = box_overlap(a, b)
-    assert empty
+    assert _log_overlap(a, b) == -math.inf
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_overlap_is_symmetric(seed):
     a, b = random_box_pair(seed)
-    assert box_overlap(a, b) == box_overlap(b, a)
+    assert _log_overlap(a, b) == _log_overlap(b, a)
 
 
 # ----------------------------------------------------------------- divergences
