@@ -29,8 +29,9 @@ from .montecarlo import McResult, mc_entropy
 
 @dataclass(frozen=True)
 class DistanceKind:
-    """Selector for the pairwise distance driving the estimator family: ``kl``,
-    or ``chernoff`` with an order alpha in [0, 1]; anything else is refused."""
+    """Selector for the pairwise distance driving the estimator family: ``kl``
+    (no order), or ``chernoff`` with an order alpha in [0, 1]; anything else
+    is refused."""
 
     name: str
     alpha: float | None = None
@@ -38,11 +39,17 @@ class DistanceKind:
     def __post_init__(self):
         if self.name not in ("kl", "chernoff"):
             raise UnsupportedDistance(f"unknown distance kind {self.name!r}")
+        if self.name == "kl" and self.alpha is not None:
+            raise AlphaOutOfRange(f"kl takes no order, got {self.alpha}")
         if self.name == "chernoff" and (self.alpha is None or not 0.0 <= self.alpha <= 1.0):
             raise AlphaOutOfRange(f"chernoff order must lie in [0, 1], got {self.alpha}")
 
-    def between(self, a, b) -> float:
-        return a.kl(b) if self.name == "kl" else a.chernoff(b, self.alpha)
+    def matrix(self, comps) -> np.ndarray:
+        """The N x N distance matrix from the components' family kernel."""
+        family = type(comps[0])
+        if self.name == "kl":
+            return family.kl_matrix(comps)
+        return family.chernoff_matrix(comps, self.alpha)
 
 
 KL = DistanceKind("kl")
@@ -60,14 +67,7 @@ def pairwise_distance_matrix(mixture: MixtureModel, kind: DistanceKind) -> np.nd
     Entries may be +inf (disjoint or non-nested box supports); negatives
     cannot occur because every closed form clamps rounding residue at zero.
     """
-    comps = mixture.components
-    n = len(comps)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                out[i, j] = kind.between(comps[i], comps[j])
-    return out
+    return kind.matrix(mixture.components)
 
 
 def _estimate_from_matrix(mixture: MixtureModel, dmat: np.ndarray) -> float:
@@ -118,7 +118,7 @@ def elk_estimate(mixture: MixtureModel) -> float:
     comps = mixture.components
     weights = mixture.weights
     active = mixture.active_indices()
-    cross = np.array([[comps[i].elk_log_cross(comps[j]) for j in active] for i in active])
+    cross = type(comps[0]).elk_log_cross_matrix(comps)[np.ix_(active, active)]
     return -fsum(weights[active] * log_sum_exp_rows(np.log(weights[active]), cross))
 
 

@@ -1,8 +1,8 @@
 """Gaussian mixture components with closed-form entropy and divergences.
 
 Everything here works through Cholesky factors: determinants come from the
-factor diagonal and quadratic forms from triangular solves, so no covariance
-matrix is ever inverted explicitly.
+factor diagonal and quadratic forms from solves against the factor, so no
+covariance matrix is ever inverted explicitly.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ class GaussianComponent:
         raises :class:`NotPositiveDefinite` at construction time.
 
     The lower-triangular Cholesky factor is computed once and reused by
-    every downstream operation.  The estimators reach the pair closed forms
-    below through the ``kl``, ``chernoff`` and ``elk_log_cross`` methods.
+    every downstream operation.  The estimators reach the family's pairwise
+    matrix kernels below through the ``kl_matrix``, ``chernoff_matrix`` and
+    ``elk_log_cross_matrix`` classmethods.
     """
 
     __slots__ = ("mean", "cov", "chol", "log_det")
@@ -99,14 +100,17 @@ class GaussianComponent:
     def center(self) -> np.ndarray:
         return self.mean
 
-    def kl(self, other) -> float:
-        return gaussian_kl(self, other)
+    @classmethod
+    def kl_matrix(cls, comps) -> np.ndarray:
+        return gaussian_kl_matrix(comps)
 
-    def chernoff(self, other, alpha: float) -> float:
-        return gaussian_chernoff(self, other, alpha)
+    @classmethod
+    def chernoff_matrix(cls, comps, alpha: float) -> np.ndarray:
+        return gaussian_chernoff_matrix(comps, alpha)
 
-    def elk_log_cross(self, other) -> float:
-        return gaussian_elk_log_cross(self, other)
+    @classmethod
+    def elk_log_cross_matrix(cls, comps) -> np.ndarray:
+        return gaussian_elk_log_cross_matrix(comps)
 
 
 def _check_pair(a: GaussianComponent, b: GaussianComponent) -> None:
@@ -177,3 +181,76 @@ def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
     """Expected-likelihood kernel int a(x) b(x) dx; strictly positive and symmetric."""
     return math.exp(gaussian_elk_log_cross(a, b))
 
+
+# Matrix kernels: entry [i, j] equals the scalar function above at
+# (comps[i], comps[j]) to rounding, computed in N vectorised steps, each
+# holding O(N d^2) memory.  The scalar functions stay the reference.
+
+
+def _stacked(comps):
+    return (np.array([c.mean for c in comps]), np.array([c.cov for c in comps]),
+            np.array([c.log_det for c in comps]))
+
+
+def _quad_log_det(deltas: np.ndarray, covs: np.ndarray):
+    """|L_k^-1 deltas[k]|^2 and ln det covs[k] for each covariance in a stack,
+    L_k its Cholesky factor: one stacked factorization and one stacked solve."""
+    chol = np.linalg.cholesky(covs)
+    z = np.linalg.solve(chol, deltas[:, :, None])[:, :, 0]
+    return np.vecdot(z, z), 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+
+def gaussian_kl_matrix(comps) -> np.ndarray:
+    """KL(comps[i] || comps[j]) for every pair, with an exactly zero diagonal.
+
+    Column j is one triangular solve with L_j against every mean difference
+    and every Cholesky factor at once.
+    """
+    n, d = len(comps), comps[0].dim
+    means, _, log_dets = _stacked(comps)
+    # Column block i of the solve is L_j^-1 L_i, whose squared norm is the trace term.
+    factors = np.concatenate([c.chol for c in comps], axis=1)
+    out = np.empty((n, n))
+    for j, b in enumerate(comps):
+        solved = solve_triangular(b.chol, np.concatenate([(means - b.mean).T, factors], axis=1),
+                                  lower=True)
+        squares = solved * solved
+        quad = squares[:, :n].sum(axis=0)
+        trace = squares[:, n:].sum(axis=0).reshape(n, d).sum(axis=1)
+        out[:, j] = 0.5 * (b.log_det - log_dets + quad + trace - d)
+    np.fill_diagonal(out, 0.0)
+    return np.maximum(out, 0.0)
+
+
+def gaussian_chernoff_matrix(comps, alpha: float) -> np.ndarray:
+    """Order-alpha Chernoff divergence for every pair, for an alpha in [0, 1]
+    (``DistanceKind`` checks the order; this kernel does not).
+
+    Row i works on the N blended covariances (1 - alpha) cov_i + alpha cov_j.
+    """
+    n = len(comps)
+    out = np.zeros((n, n))
+    if alpha == 0.0 or alpha == 1.0:
+        return out
+    means, covs, log_dets = _stacked(comps)
+    for i, a in enumerate(comps):
+        quad, log_det_mixed = _quad_log_det(a.mean - means, (1.0 - alpha) * a.cov + alpha * covs)
+        out[i] = 0.5 * alpha * (1.0 - alpha) * quad + 0.5 * (
+            log_det_mixed - (1.0 - alpha) * a.log_det - alpha * log_dets
+        )
+    np.fill_diagonal(out, 0.0)
+    return np.maximum(out, 0.0)
+
+
+def gaussian_elk_log_cross_matrix(comps) -> np.ndarray:
+    """ln int p_i p_j dx for every pair, the diagonal included.
+
+    Row i works on the N summed covariances cov_i + cov_j.
+    """
+    n, d = len(comps), comps[0].dim
+    means, covs, _ = _stacked(comps)
+    out = np.empty((n, n))
+    for i, a in enumerate(comps):
+        quad, log_det = _quad_log_det(a.mean - means, a.cov + covs)
+        out[i] = -0.5 * (quad + log_det + d * _LOG_2PI)
+    return out

@@ -17,7 +17,9 @@ from .errors import AlphaOutOfRange, DegenerateBox, DimensionMismatch, NonFinite
 class UniformBox:
     """Uniform density on the closed axis-aligned box [lower, upper].
 
-    Pair closed forms: ``kl``, ``chernoff`` (any order in [0, 1]), ``elk_log_cross``.
+    The estimators reach the family's pairwise matrix kernels below through
+    the ``kl_matrix``, ``chernoff_matrix`` (any order in [0, 1]) and
+    ``elk_log_cross_matrix`` classmethods.
     """
 
     __slots__ = ("lower", "upper", "log_volume")
@@ -65,14 +67,17 @@ class UniformBox:
         draws = rng.uniform(self.lower, self.upper, size=(n, self.dim))
         return draws[0] if size is None else draws
 
-    def kl(self, other) -> float:
-        return uniform_kl(self, other)
+    @classmethod
+    def kl_matrix(cls, comps) -> np.ndarray:
+        return uniform_kl_matrix(comps)
 
-    def chernoff(self, other, alpha: float) -> float:
-        return uniform_chernoff(self, other, alpha)
+    @classmethod
+    def chernoff_matrix(cls, comps, alpha: float) -> np.ndarray:
+        return uniform_chernoff_matrix(comps, alpha)
 
-    def elk_log_cross(self, other) -> float:
-        return uniform_elk_log_cross(self, other)
+    @classmethod
+    def elk_log_cross_matrix(cls, comps) -> np.ndarray:
+        return uniform_elk_log_cross_matrix(comps)
 
 
 def _log_overlap(a: UniformBox, b: UniformBox) -> float:
@@ -121,3 +126,66 @@ def uniform_elk_log_cross(a: UniformBox, b: UniformBox) -> float:
 def uniform_elk_cross(a: UniformBox, b: UniformBox) -> float:
     """Expected-likelihood kernel int a(x) b(x) dx; zero when the boxes are disjoint."""
     return math.exp(uniform_elk_log_cross(a, b))
+
+
+# Matrix kernels: entry [i, j] equals the scalar function above at
+# (comps[i], comps[j]) to rounding, computed in N vectorised steps over
+# broadcast bounds, each holding O(N d) memory.  The scalar functions stay
+# the reference.
+
+
+def _bounds(comps):
+    return (np.array([c.lower for c in comps]), np.array([c.upper for c in comps]),
+            np.array([c.log_volume for c in comps]))
+
+
+def _within(lower, upper, outer_lower, outer_upper) -> np.ndarray:
+    """Whether box [lower, upper] lies in [outer_lower, outer_upper], per row."""
+    return np.all(outer_lower <= lower, axis=-1) & np.all(upper <= outer_upper, axis=-1)
+
+
+def _log_overlap_row(a: UniformBox, lowers, uppers, log_volumes) -> np.ndarray:
+    """_log_overlap(a, b) for every box b given by the rows of lowers, uppers."""
+    sides = np.minimum(a.upper, uppers) - np.maximum(a.lower, lowers)
+    positive = sides > 0
+    log_sides = np.log(np.where(positive, sides, 1.0)).sum(axis=1)
+    out = np.where(positive.all(axis=1), log_sides, NEG_INF)
+    # A nested pair overlaps in its inner box, whose log volume is exact; this
+    # keeps identical boxes at distance exactly zero, as in the scalar form.
+    out = np.where(_within(a.lower, a.upper, lowers, uppers), a.log_volume, out)
+    return np.where(_within(lowers, uppers, a.lower, a.upper), log_volumes, out)
+
+
+def uniform_kl_matrix(comps) -> np.ndarray:
+    """KL(comps[i] || comps[j]) for every pair: +inf unless box j contains box i."""
+    lowers, uppers, log_volumes = _bounds(comps)
+    out = np.empty((len(comps), len(comps)))
+    for i, a in enumerate(comps):
+        contained = _within(a.lower, a.upper, lowers, uppers)
+        out[i] = np.where(contained, np.maximum(log_volumes - a.log_volume, 0.0), math.inf)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def uniform_chernoff_matrix(comps, alpha: float) -> np.ndarray:
+    """Order-alpha Chernoff divergence for every pair, for an alpha in [0, 1]
+    (``DistanceKind`` checks the order; this kernel does not)."""
+    n = len(comps)
+    out = np.zeros((n, n))
+    if alpha == 0.0 or alpha == 1.0:
+        return out
+    lowers, uppers, log_volumes = _bounds(comps)
+    for i, a in enumerate(comps):
+        log_overlap = _log_overlap_row(a, lowers, uppers, log_volumes)
+        out[i] = alpha * a.log_volume + (1.0 - alpha) * log_volumes - log_overlap
+    np.fill_diagonal(out, 0.0)
+    return np.maximum(out, 0.0)
+
+
+def uniform_elk_log_cross_matrix(comps) -> np.ndarray:
+    """ln int p_i p_j dx for every pair, the diagonal included; -inf if disjoint."""
+    lowers, uppers, log_volumes = _bounds(comps)
+    out = np.empty((len(comps), len(comps)))
+    for i, a in enumerate(comps):
+        out[i] = _log_overlap_row(a, lowers, uppers, log_volumes) - (a.log_volume + log_volumes)
+    return out

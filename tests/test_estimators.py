@@ -80,14 +80,24 @@ def test_distance_kind_refuses_bad_orders_at_construction():
             DistanceKind("chernoff", alpha)
 
 
+def test_distance_kind_refuses_an_order_on_kl():
+    assert DistanceKind("kl") == KL
+    for alpha in (0.0, 0.3, 0.5):
+        with pytest.raises(AlphaOutOfRange, match="kl takes no order"):
+            DistanceKind("kl", alpha)
+
+
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
 def test_chernoff_contract_is_the_same_for_both_families(family):
     # Overlapping 2-D components, so the interior orders give finite values.
     rng = np.random.default_rng(23)
-    a, b = random_mixture(rng, 2, 2, family, spread=0.3).components
+    mix = random_mixture(rng, 2, 2, family, spread=0.3)
+    a, b = mix.components
     chernoff = FAMILY_CHERNOFF[family]
     for alpha in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
-        assert a.chernoff(b, alpha) == chernoff(a, b, alpha)
+        dmat = pairwise_distance_matrix(mix, chernoff_distance(alpha))
+        assert math.isclose(dmat[0, 1], chernoff(a, b, alpha), rel_tol=1e-12, abs_tol=1e-15)
+        assert math.isclose(dmat[1, 0], chernoff(b, a, alpha), rel_tol=1e-12, abs_tol=1e-15)
     for alpha in (0.1, 0.5, 0.9):
         assert 0.0 < chernoff(a, b, alpha) < math.inf
     for alpha in (0.0, 1.0):
@@ -95,7 +105,7 @@ def test_chernoff_contract_is_the_same_for_both_families(family):
         assert chernoff(b, a, alpha) == 0.0
     for alpha in (-0.1, 1.1):
         with pytest.raises(AlphaOutOfRange):
-            a.chernoff(b, alpha)
+            lower_bound_chernoff(mix, alpha)
         with pytest.raises(AlphaOutOfRange):
             chernoff(a, b, alpha)
 

@@ -80,11 +80,15 @@ def test_non_finite_mean_or_covariance_rejected(bad):
         GaussianComponent([0.0, 0.0], [[1.0, bad], [bad, 1.0]])
 
 
-def test_pair_methods_are_the_scalar_closed_forms():
+def test_matrix_kernels_are_the_scalar_closed_forms():
     a, b = random_pair(21)
-    assert a.kl(b) == gaussian_kl(a, b)
-    assert a.chernoff(b, 0.3) == gaussian_chernoff(a, b, 0.3)
-    assert a.elk_log_cross(b) == gaussian_elk_log_cross(a, b)
+    kl = GaussianComponent.kl_matrix((a, b))
+    chernoff = GaussianComponent.chernoff_matrix((a, b), 0.3)
+    cross = GaussianComponent.elk_log_cross_matrix((a, b))
+    for (i, p), (j, q) in ((0, a), (1, b)), ((1, b), (0, a)):
+        assert math.isclose(kl[i, j], gaussian_kl(p, q), rel_tol=1e-12)
+        assert math.isclose(chernoff[i, j], gaussian_chernoff(p, q, 0.3), rel_tol=1e-12)
+        assert math.isclose(cross[i, j], gaussian_elk_log_cross(p, q), rel_tol=1e-12)
     assert a.center() is a.mean
 
 

@@ -66,13 +66,16 @@ def test_non_finite_bounds_rejected(bad):
         UniformBox([0.0, 0.0], [1.0, bad])
 
 
-def test_pair_methods_are_the_scalar_closed_forms():
+def test_matrix_kernels_are_the_scalar_closed_forms():
     a, b = random_box_pair(4)
-    assert a.kl(b) == uniform_kl(a, b)
-    assert a.elk_log_cross(b) == uniform_elk_log_cross(a, b)
+    kl = UniformBox.kl_matrix((a, b))
+    cross = UniformBox.elk_log_cross_matrix((a, b))
+    assert kl[0, 1] == uniform_kl(a, b) and kl[1, 0] == uniform_kl(b, a)
+    assert math.isclose(cross[0, 1], uniform_elk_log_cross(a, b), rel_tol=1e-12)
     for alpha in (0.0, 0.25, 0.5, 1.0):
-        assert a.chernoff(b, alpha) == uniform_chernoff(a, b, alpha)
-    assert a.chernoff(b, 0.5) == uniform_bd(a, b)
+        chernoff = UniformBox.chernoff_matrix((a, b), alpha)
+        assert math.isclose(chernoff[0, 1], uniform_chernoff(a, b, alpha), rel_tol=1e-12)
+    assert uniform_chernoff(a, b, 0.5) == uniform_bd(a, b)
 
 
 # ----------------------------------------------------------- entropy / density
