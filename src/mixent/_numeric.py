@@ -6,7 +6,27 @@ import math
 
 import numpy as np
 
+from .errors import DimensionMismatch, NonFiniteValue
+
 NEG_INF = float("-inf")
+
+
+def as_points(x, dim: int, owner: str):
+    """(points, single): x as a float (n, dim) batch, and whether it was one (dim,) point.
+
+    A trailing size other than ``dim`` (or more than two axes) raises
+    :class:`DimensionMismatch`; a NaN or infinite coordinate raises
+    :class:`NonFiniteValue`.  ``owner`` names the caller in the message.
+    """
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    if pts.ndim != 2 or pts.shape[-1] != dim:
+        raise DimensionMismatch(
+            f"point dimension {pts.shape[-1]} does not match {owner} dimension {dim}"
+        )
+    if not np.isfinite(pts).all():
+        raise NonFiniteValue("point coordinates must be finite")
+    return pts, x.ndim == 1
 
 
 def log_sum_exp(terms) -> float:

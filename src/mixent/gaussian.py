@@ -1,8 +1,11 @@
 """Gaussian mixture components with closed-form entropy and divergences.
 
 Everything here works through Cholesky factors: determinants come from the
-factor diagonal and quadratic forms from solves against the factor, so no
-covariance matrix is ever inverted explicitly.
+factor diagonal and quadratic forms from triangular solves against the
+factor.  No covariance matrix is ever inverted.  For density evaluation each
+component also keeps the inverse of its triangular factor, formed once at
+construction by one triangular solve, so a batch of points costs one
+subtraction and one matrix product.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from ._numeric import as_points
 from .errors import AlphaOutOfRange, DimensionMismatch, NonFiniteValue, NotPositiveDefinite
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -34,13 +38,14 @@ class GaussianComponent:
         all exceed 1e-12 times the largest diagonal entry; anything else
         raises :class:`NotPositiveDefinite` at construction time.
 
-    The lower-triangular Cholesky factor is computed once and reused by
-    every downstream operation.  The estimators reach the family's pairwise
+    The lower-triangular Cholesky factor L is computed once and reused by
+    every downstream operation; ``inv_chol`` holds L^-1, used by
+    ``log_density``.  The estimators reach the family's pairwise
     matrix kernels below through the ``kl_matrix``, ``chernoff_matrix`` and
     ``elk_log_cross_matrix`` classmethods.
     """
 
-    __slots__ = ("mean", "cov", "chol", "log_det")
+    __slots__ = ("mean", "cov", "chol", "inv_chol", "log_det")
 
     def __init__(self, mean, cov):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
@@ -66,6 +71,7 @@ class GaussianComponent:
         self.mean = mean
         self.cov = cov
         self.chol = chol
+        self.inv_chol = solve_triangular(chol, np.eye(mean.size), lower=True)
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
 
     @property
@@ -77,16 +83,15 @@ class GaussianComponent:
         return 0.5 * (self.log_det + self.dim * (_LOG_2PI + 1.0))
 
     def log_density(self, x):
-        """Log density at one point of shape (d,) or a batch of shape (n, d)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"point dimension {pts.shape[-1]} does not match component dimension {self.dim}"
-            )
-        z = solve_triangular(self.chol, (pts - self.mean).T, lower=True)
-        quad = np.einsum("ij,ij->j", z, z)
+        """Log density at one point of shape (d,) or a batch of shape (n, d).
+
+        The quadratic form is |L^-1 (x - mean)|^2.  The mean is subtracted
+        before the product: expanding it as L^-1 x - L^-1 mean cancels badly
+        for means far from the origin.
+        """
+        pts, single = as_points(x, self.dim, "component")
+        z = (pts - self.mean) @ self.inv_chol.T
+        quad = np.einsum("ij,ij->i", z, z)
         out = -0.5 * (quad + self.log_det + self.dim * _LOG_2PI)
         return float(out[0]) if single else out
 
@@ -194,9 +199,12 @@ def _stacked(comps):
 
 def _quad_log_det(deltas: np.ndarray, covs: np.ndarray):
     """|L_k^-1 deltas[k]|^2 and ln det covs[k] for each covariance in a stack,
-    L_k its Cholesky factor: one stacked factorization and one stacked solve."""
+    L_k its Cholesky factor: one stacked factorization, then forward
+    substitution on the whole stack, one coordinate per step."""
     chol = np.linalg.cholesky(covs)
-    z = np.linalg.solve(chol, deltas[:, :, None])[:, :, 0]
+    z = np.empty_like(deltas)
+    for k in range(deltas.shape[1]):
+        z[:, k] = (deltas[:, k] - np.vecdot(chol[:, k, :k], z[:, :k])) / chol[:, k, k]
     return np.vecdot(z, z), 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numeric import fsum, log_sum_exp_axis0
+from ._numeric import as_points, fsum, log_sum_exp_axis0
 from .errors import (
     DimensionMismatch,
     EmptyMixture,
@@ -25,6 +25,11 @@ from .errors import (
 )
 from .gaussian import GaussianComponent
 from .uniform import UniformBox
+
+# Points per block in MixtureModel.log_density: the K x block row buffer and
+# each component's block temporaries stay cache-sized however many points
+# are evaluated.
+_BLOCK = 4096
 
 
 class MixtureModel:
@@ -84,21 +89,28 @@ class MixtureModel:
 
         Computed as a max-shifted log-sum-exp over ln c_k + ln p_k(x) with
         zero-weight components left out of the index set; a point outside
-        every support maps to -inf.
+        every support maps to -inf.  The points are streamed in fixed
+        blocks, so memory is O(block (K + d)) for any batch size, and a
+        point's value does not depend on which batch it came in (batches of
+        two or more points).
         """
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"point dimension {pts.shape[-1]} does not match mixture dimension {self.dim}"
-            )
+        pts, single = as_points(x, self.dim, "mixture")
         active = self.active_indices()
-        rows = np.empty((active.size, pts.shape[0]))
-        for row, k in enumerate(active):
-            rows[row] = np.log(self.weights[k]) + self.components[k].log_density(pts)
-        vals = log_sum_exp_axis0(rows)
-        return float(vals[0]) if single else vals
+        log_weights = np.log(self.weights[active])
+        n = pts.shape[0]
+        out = np.empty(n)
+        rows = np.empty((active.size, min(n, _BLOCK + 1)))
+        start = 0
+        while start < n:
+            # A lone last point joins the block before it: a one-point block
+            # takes other BLAS and summation routes and rounds differently.
+            stop = n if n - start <= _BLOCK + 1 else start + _BLOCK
+            block, buf = pts[start:stop], rows[:, : stop - start]
+            for row, k in enumerate(active):
+                np.add(log_weights[row], self.components[k].log_density(block), out=buf[row])
+            out[start:stop] = log_sum_exp_axis0(buf)
+            start = stop
+        return float(out[0]) if single else out
 
     def conditional_entropy(self) -> float:
         """Average component entropy: the floor of the mixture entropy."""

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ._numeric import NEG_INF, fsum
+from ._numeric import NEG_INF, as_points, fsum
 from .errors import AlphaOutOfRange, DegenerateBox, DimensionMismatch, NonFiniteValue
 
 
@@ -51,13 +51,7 @@ class UniformBox:
 
     def log_density(self, x):
         """-log_volume inside the closed box, -inf outside; accepts (d,) or (n, d)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"point dimension {pts.shape[-1]} does not match component dimension {self.dim}"
-            )
+        pts, single = as_points(x, self.dim, "component")
         inside = np.all((pts >= self.lower) & (pts <= self.upper), axis=-1)
         out = np.where(inside, -self.log_volume, NEG_INF)
         return float(out[0]) if single else out

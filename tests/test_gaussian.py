@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import multivariate_normal
 
 from mixent import (
     AlphaOutOfRange,
@@ -135,6 +136,57 @@ def test_log_density_batch_matches_singles():
 def test_log_density_dimension_checked():
     with pytest.raises(DimensionMismatch):
         gauss1(0.0, 1.0).log_density(np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_log_density_refuses_non_finite_points(bad):
+    comp = GaussianComponent(np.zeros(2), np.eye(2))
+    with pytest.raises(NonFiniteValue):
+        comp.log_density(np.array([bad, 0.5]))
+    with pytest.raises(NonFiniteValue):
+        comp.log_density(np.array([[0.0, 0.0], [0.5, bad]]))
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([1.0, 1e3, 1e6]),
+)
+@settings(max_examples=60, deadline=None)
+def test_log_density_matches_scipy_multivariate_normal(dim, seed, offset):
+    # An independent reference; large offsets put the means far from the origin.
+    rng = np.random.default_rng(seed)
+    mean = offset * rng.standard_normal(dim)
+    cov = random_spd(rng, dim, scale=rng.uniform(0.01, 100.0))
+    pts = mean + 3.0 * rng.standard_normal((9, dim)) @ np.linalg.cholesky(cov).T
+    got = GaussianComponent(mean, cov).log_density(pts)
+    ref = multivariate_normal(mean, cov).logpdf(pts)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def _cov_with_condition(rng, dim: int, cond: float) -> np.ndarray:
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    cov = (basis * np.logspace(0.0, -math.log10(cond), dim)) @ basis.T
+    return 0.5 * (cov + cov.T)
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e5, 1e8, 1e11])
+def test_log_density_quadratic_form_is_accurate_when_ill_conditioned(cond):
+    # Reference: forward substitution with the same Cholesky factor in extended
+    # precision, so only the evaluation through the inverse factor is measured.
+    rng = np.random.default_rng(int(math.log10(cond)))
+    dim = 6
+    for _ in range(10):
+        comp = GaussianComponent(rng.standard_normal(dim), _cov_with_condition(rng, dim, cond))
+        pts = comp.mean + rng.uniform(1.0, 4.0) * rng.standard_normal((20, dim)) @ comp.chol.T
+        quad = -2.0 * comp.log_density(pts) - comp.log_det - dim * math.log(2.0 * math.pi)
+        chol = comp.chol.astype(np.longdouble)
+        delta = pts.astype(np.longdouble) - comp.mean.astype(np.longdouble)
+        z = np.zeros_like(delta)
+        for k in range(dim):
+            z[:, k] = (delta[:, k] - (z[:, :k] * chol[k, :k]).sum(axis=1)) / chol[k, k]
+        ref = (z * z).sum(axis=1)
+        assert float(np.max(np.abs(quad - ref) / ref)) <= 1e-10
 
 
 # ---------------------------------------------------------------- divergences

@@ -21,7 +21,8 @@ from mixent import (
     UnsupportedDistance,
     ZeroWeightSum,
 )
-from support import random_gaussian_mixture, random_uniform_mixture
+from mixent.mixture import _BLOCK
+from support import random_gaussian_mixture, random_mixture, random_uniform_mixture
 
 # Frozen from the 1-D quadrature oracle (tests/test_montecarlo.py checks it).
 STD_NORMAL_ENTROPY = 1.4189385332046727
@@ -127,6 +128,50 @@ def test_log_density_outside_every_box_is_minus_infinity():
     batch = mix.log_density(np.array([[0.5], [1.5], [2.5]]))
     assert math.isinf(batch[1]) and batch[1] < 0
     assert np.isfinite(batch[[0, 2]]).all()
+
+
+def _streamed_mixture(family: str, dim: int):
+    # Nine components, one with zero weight; every fifth point is shifted far
+    # from the mass, some outside every box for the uniform family.  Eight
+    # active rows are enough for numpy to sum a lone column pairwise.
+    rng = np.random.default_rng(dim)
+    mix = random_mixture(rng, 9, dim, family)
+    mix = MixtureModel(np.append(mix.weights[:8], 0.0), mix.components)
+    points = mix.sample(rng, 3 * _BLOCK + 17)
+    points[::5] += rng.uniform(-8.0, 8.0, (len(points[::5]), dim))
+    return mix, points
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 10])
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_log_density_does_not_depend_on_the_block_split(family, dim):
+    mix, points = _streamed_mixture(family, dim)
+    full = mix.log_density(points)
+    assert full.shape == (len(points),)
+    assert np.isneginf(full).any() == (family == "uniform")
+    n, b = len(points), _BLOCK
+    slices = [
+        (0, 2), (b - 1, b + 1), (b - 3, 2 * b + 5), (1, b + 2), (2, 2 * b + 3),
+        (b + 1, n), (2 * b - 7, n), (3 * b - 1, n), (n - 2, n), (5, n - 3),
+    ]
+    # Slices of block + 1 points end in a block of one point if it is not merged.
+    slices += [(z - b - 1, z) for z in range(b + 1, n + 1, 311)]
+    for a, z in slices:
+        assert np.array_equal(mix.log_density(points[a:z]), full[a:z]), (a, z)
+    # Single points take other BLAS and summation routes: equal to rounding.
+    for i in (0, b - 1, b, n - 1):
+        assert math.isclose(mix.log_density(points[i]), full[i], rel_tol=1e-14, abs_tol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_log_density_refuses_non_finite_points(family, bad):
+    mix, points = _streamed_mixture(family, 2)
+    with pytest.raises(NonFiniteValue):
+        mix.log_density(np.array([bad, 0.5]))
+    points[-1, 1] = bad
+    with pytest.raises(NonFiniteValue):
+        mix.log_density(points)
 
 
 def test_conditional_entropy_single_component():

@@ -85,3 +85,32 @@ def test_family_modules_refuse_no_distance():
         and "UnsupportedDistance" in names(node.exc)
     ]
     assert not found, f"family modules refusing a distance: {found}"
+
+
+def test_no_general_solve_or_explicit_inverse_in_the_package():
+    # Quadratic forms go through triangular solves against Cholesky factors:
+    # no LU on a factor that is already triangular, no covariance inverse.
+    forbidden = {"solve", "inv"}
+
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name):
+            parts.append(node.id)
+        return ".".join(reversed(parts))
+
+    sources = sorted(Path(mixent.__file__).parent.glob("*.py"))
+    assert any(path.name == "gaussian.py" for path in sources)
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = dotted(node.func).split(".")
+                if len(name) >= 2 and name[-2] == "linalg" and name[-1] in forbidden:
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                if any(alias.name in forbidden for alias in node.names):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"general solves or explicit inverses in src: {found}"

@@ -109,6 +109,16 @@ def test_log_density_batch():
     assert out[0] == 0.0 and math.isinf(out[1]) and math.isinf(out[2])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_log_density_refuses_non_finite_points(bad):
+    # A NaN coordinate fails every comparison, so it used to read as "outside".
+    box = UniformBox([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(NonFiniteValue):
+        box.log_density(np.array([bad, 0.5]))
+    with pytest.raises(NonFiniteValue):
+        box.log_density(np.array([[0.5, 0.5], [0.5, bad]]))
+
+
 def test_center_and_sampling():
     rng = np.random.default_rng(3)
     box = UniformBox([-1.0, 2.0], [1.0, 6.0])
