@@ -1,4 +1,5 @@
-"""Shared numeric helpers: order-stable summation and careful log-sum-exp."""
+"""Shared numeric helpers: order-stable summation, careful log-sum-exp and
+the package's one triangular solve."""
 
 from __future__ import annotations
 
@@ -27,6 +28,27 @@ def as_points(x, dim: int, owner: str):
     if not np.isfinite(pts).all():
         raise NonFiniteValue("point coordinates must be finite")
     return pts, x.ndim == 1
+
+
+def forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with chol @ X = rhs, for lower-triangular chol of shape (..., d, d).
+
+    ``rhs`` is a stack of vectors (..., d) when it has one axis fewer than
+    ``chol``, otherwise a stack of matrices (..., d, m); leading axes
+    broadcast.  Row k of X is (rhs_k - chol[k, :k] X[:k]) / chol[k, k], one
+    row per step over the whole stack.
+    """
+    d = chol.shape[-1]
+    if rhs.ndim == chol.ndim - 1:
+        x = np.empty(np.broadcast_shapes(chol.shape[:-1], rhs.shape))
+        for k in range(d):
+            x[..., k] = (rhs[..., k] - np.vecdot(chol[..., k, :k], x[..., :k])) / chol[..., k, k]
+        return x
+    x = np.empty(np.broadcast_shapes(chol.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:])
+    for k in range(d):
+        dot = (chol[..., k : k + 1, :k] @ x[..., :k, :])[..., 0, :]
+        x[..., k, :] = (rhs[..., k, :] - dot) / chol[..., k, k, None]
+    return x
 
 
 def log_sum_exp(terms) -> float:

@@ -74,12 +74,16 @@ def _estimate_from_matrix(mixture: MixtureModel, dmat: np.ndarray) -> float:
     """The estimator value for a prebuilt distance matrix.
 
     Over positive-weight components, each inner log-sum-exp of ln c_j - D_ij
-    is capped at zero (the weights sum to one), which keeps the
-    floor-and-ceiling bracket exact in floating point as well.
+    is capped at zero (the weights sum to one), and a row of zero distances
+    gives exactly zero, which its log-sum-exp can miss by an ulp.  This keeps
+    the floor-and-ceiling bracket exact in floating point as well, and makes
+    an all-zero matrix (Chernoff orders 0 and 1) give exactly the floor.
     """
     weights = mixture.weights
     active = mixture.active_indices()
-    inner = log_sum_exp_rows(np.log(weights[active]), -dmat[np.ix_(active, active)])
+    dists = dmat[np.ix_(active, active)]
+    inner = log_sum_exp_rows(np.log(weights[active]), -dists)
+    inner[~dists.any(axis=1)] = 0.0
     return mixture.conditional_entropy() - fsum(weights[active] * np.minimum(inner, 0.0))
 
 

@@ -2,10 +2,13 @@
 
 Everything here works through Cholesky factors: determinants come from the
 factor diagonal and quadratic forms from triangular solves against the
-factor.  No covariance matrix is ever inverted.  For density evaluation each
-component also keeps the inverse of its triangular factor, formed once at
-construction by one triangular solve, so a batch of points costs one
-subtraction and one matrix product.
+factor, all through ``_numeric.forward_substitute``, so the package needs
+NumPy alone.  No covariance matrix is ever inverted.  For density evaluation
+each component also keeps the inverse of its triangular factor, formed once
+at construction by one triangular solve, so a batch of points costs one
+subtraction and one matrix product.  A squared norm that overflows is left
+at +inf without a warning: it is the exact distance of components whose
+means are too far apart to represent.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from ._numeric import as_points
+from ._numeric import as_points, forward_substitute
 from .errors import AlphaOutOfRange, DimensionMismatch, NonFiniteValue, NotPositiveDefinite
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -71,7 +73,9 @@ class GaussianComponent:
         self.mean = mean
         self.cov = cov
         self.chol = chol
-        self.inv_chol = solve_triangular(chol, np.eye(mean.size), lower=True)
+        # Fortran order makes inv_chol.T, the right operand in log_density,
+        # C-contiguous, which the block product runs faster on.
+        self.inv_chol = np.asfortranarray(forward_substitute(chol, np.eye(mean.size)))
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
 
     @property
@@ -123,13 +127,22 @@ def _check_pair(a: GaussianComponent, b: GaussianComponent) -> None:
         raise DimensionMismatch(f"component dimensions differ: {a.dim} vs {b.dim}")
 
 
+def _mahalanobis_sq(chol: np.ndarray, delta: np.ndarray):
+    """|chol^-1 delta|^2 over the last axis, for one factor or a stack.
+
+    An overflow gives +inf, the exact distance of means too far apart to
+    represent, so it raises no warning.
+    """
+    z = forward_substitute(chol, delta)
+    with np.errstate(over="ignore"):
+        return np.vecdot(z, z)
+
+
 def gaussian_kl(a: GaussianComponent, b: GaussianComponent) -> float:
     """Kullback-Leibler divergence KL(a || b) in nats; zero iff a equals b."""
     _check_pair(a, b)
-    delta = a.mean - b.mean
-    z = solve_triangular(b.chol, delta, lower=True)
-    quad = float(z @ z)
-    y = solve_triangular(b.chol, a.chol, lower=True)
+    quad = float(_mahalanobis_sq(b.chol, a.mean - b.mean))
+    y = forward_substitute(b.chol, a.chol)
     trace = float(np.sum(y * y))
     value = 0.5 * (b.log_det - a.log_det + quad + trace - a.dim)
     # The divergence is non-negative; tiny negatives are rounding residue.
@@ -145,9 +158,7 @@ def _chernoff_exponent(a: GaussianComponent, b: GaussianComponent, alpha: float)
     """
     mixed = (1.0 - alpha) * a.cov + alpha * b.cov
     chol = np.linalg.cholesky(mixed)
-    delta = a.mean - b.mean
-    z = solve_triangular(chol, delta, lower=True)
-    quad = 0.5 * alpha * (1.0 - alpha) * float(z @ z)
+    quad = 0.5 * alpha * (1.0 - alpha) * float(_mahalanobis_sq(chol, a.mean - b.mean))
     log_det_mixed = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return quad + 0.5 * (log_det_mixed - (1.0 - alpha) * a.log_det - alpha * b.log_det)
 
@@ -177,9 +188,9 @@ def gaussian_elk_log_cross(a: GaussianComponent, b: GaussianComponent) -> float:
     _check_pair(a, b)
     total = a.cov + b.cov
     chol = np.linalg.cholesky(total)
-    z = solve_triangular(chol, a.mean - b.mean, lower=True)
+    quad = float(_mahalanobis_sq(chol, a.mean - b.mean))
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (float(z @ z) + log_det + a.dim * _LOG_2PI)
+    return -0.5 * (quad + log_det + a.dim * _LOG_2PI)
 
 
 def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
@@ -199,13 +210,11 @@ def _stacked(comps):
 
 def _quad_log_det(deltas: np.ndarray, covs: np.ndarray):
     """|L_k^-1 deltas[k]|^2 and ln det covs[k] for each covariance in a stack,
-    L_k its Cholesky factor: one stacked factorization, then forward
-    substitution on the whole stack, one coordinate per step."""
+    L_k its Cholesky factor: one stacked factorization, then one stacked
+    forward substitution."""
     chol = np.linalg.cholesky(covs)
-    z = np.empty_like(deltas)
-    for k in range(deltas.shape[1]):
-        z[:, k] = (deltas[:, k] - np.vecdot(chol[:, k, :k], z[:, :k])) / chol[:, k, k]
-    return np.vecdot(z, z), 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return _mahalanobis_sq(chol, deltas), log_det
 
 
 def gaussian_kl_matrix(comps) -> np.ndarray:
@@ -220,9 +229,9 @@ def gaussian_kl_matrix(comps) -> np.ndarray:
     factors = np.concatenate([c.chol for c in comps], axis=1)
     out = np.empty((n, n))
     for j, b in enumerate(comps):
-        solved = solve_triangular(b.chol, np.concatenate([(means - b.mean).T, factors], axis=1),
-                                  lower=True)
-        squares = solved * solved
+        solved = forward_substitute(b.chol, np.concatenate([(means - b.mean).T, factors], axis=1))
+        with np.errstate(over="ignore"):  # +inf is exact here too; see _mahalanobis_sq
+            squares = solved * solved
         quad = squares[:, :n].sum(axis=0)
         trace = squares[:, n:].sum(axis=0).reshape(n, d).sum(axis=1)
         out[:, j] = 0.5 * (b.log_det - log_dets + quad + trace - d)

@@ -2,15 +2,36 @@
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import mixent
 from mixent import GaussianComponent, MixtureModel, UniformBox
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this copy of mixent; text output."""
+    path = [str(Path(mixent.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     """A well-conditioned random symmetric positive-definite matrix."""
     basis = rng.standard_normal((dim, dim))
     return scale * (basis @ basis.T / dim + np.diag(rng.uniform(0.5, 1.5, dim)))
+
+
+def cov_with_condition(rng: np.random.Generator, dim: int, cond: float) -> np.ndarray:
+    """A random symmetric positive-definite matrix with condition number cond."""
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    cov = (basis * np.logspace(0.0, -math.log10(cond), dim)) @ basis.T
+    return 0.5 * (cov + cov.T)
 
 
 def random_gaussian_mixture(

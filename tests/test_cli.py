@@ -4,12 +4,24 @@ import json
 import math
 import shutil
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
 
-from mixent import CSV_HEADER, ESTIMATOR_ORDER, read_csv
+from mixent import (
+    CSV_HEADER,
+    ESTIMATOR_ORDER,
+    GaussianComponent,
+    estimate_all,
+    gaussian_bd,
+    gaussian_elk_log_cross,
+    gaussian_kl,
+    load_mixture,
+    read_csv,
+)
 from mixent.cli import main
+from support import run_python
 
 SINGLE_GAUSSIAN = {
     "family": "gaussian",
@@ -32,6 +44,16 @@ BINARY_SOURCE = {
     "components": [
         {"mean": [-10.0], "cov": [[1e-12]]},
         {"mean": [10.0], "cov": [[1e-12]]},
+    ],
+}
+
+# Means so far apart that every squared Mahalanobis norm overflows to +inf.
+FAR_APART = {
+    "family": "gaussian",
+    "weights": [0.5, 0.5],
+    "components": [
+        {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+        {"mean": [1e160, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
     ],
 }
 
@@ -276,6 +298,25 @@ def test_mi_malformed_noise_is_a_runtime_error(tmp_path, capsys):
     noise.write_text(json.dumps({"scale": 2.0}))
     assert main(["mi", "--spec", spec, "--noise", str(noise)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_estimate_overflowing_distances_are_infinite_without_warnings(tmp_path):
+    # +inf is the exact distance here, so the overflow is not worth a warning
+    # and both bounds reach the ceiling.
+    spec = write_json(tmp_path, "far.json", FAR_APART)
+    proc = run_python("-m", "mixent.cli", "estimate", "--spec", spec)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    values = parse_report(proc.stdout)
+    assert values["H_BD"] == values["H_KL"] == values["H_joint"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = estimate_all(load_mixture(spec))
+        assert report.h_bd == report.h_kl == report.h_joint
+        a, b = (GaussianComponent(c["mean"], c["cov"]) for c in FAR_APART["components"])
+        assert gaussian_kl(a, b) == math.inf
+        assert gaussian_bd(a, b) == math.inf
+        assert gaussian_elk_log_cross(a, b) == -math.inf
 
 
 # ----------------------------------------------------------------- entry point

@@ -23,7 +23,7 @@ from mixent import (
     lower_bound_bd,
     upper_bound_kl,
 )
-from support import random_spd
+from support import cov_with_condition, random_spd
 
 # Frozen against the 1-D quadrature oracle.
 STD_NORMAL_ENTROPY = 1.4189385332046727
@@ -164,12 +164,6 @@ def test_log_density_matches_scipy_multivariate_normal(dim, seed, offset):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-def _cov_with_condition(rng, dim: int, cond: float) -> np.ndarray:
-    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    cov = (basis * np.logspace(0.0, -math.log10(cond), dim)) @ basis.T
-    return 0.5 * (cov + cov.T)
-
-
 @pytest.mark.parametrize("cond", [1e2, 1e5, 1e8, 1e11])
 def test_log_density_quadratic_form_is_accurate_when_ill_conditioned(cond):
     # Reference: forward substitution with the same Cholesky factor in extended
@@ -177,7 +171,7 @@ def test_log_density_quadratic_form_is_accurate_when_ill_conditioned(cond):
     rng = np.random.default_rng(int(math.log10(cond)))
     dim = 6
     for _ in range(10):
-        comp = GaussianComponent(rng.standard_normal(dim), _cov_with_condition(rng, dim, cond))
+        comp = GaussianComponent(rng.standard_normal(dim), cov_with_condition(rng, dim, cond))
         pts = comp.mean + rng.uniform(1.0, 4.0) * rng.standard_normal((20, dim)) @ comp.chol.T
         quad = -2.0 * comp.log_density(pts) - comp.log_det - dim * math.log(2.0 * math.pi)
         chol = comp.chol.astype(np.longdouble)

@@ -1,0 +1,72 @@
+"""The package's one triangular solve, checked against independent references.
+
+Every Gaussian kernel and scalar closed form solves through
+``forward_substitute``, so the kernel-versus-scalar checks elsewhere share it
+on both sides; this file is where the solve itself is arbitrated.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.linalg import solve_triangular
+
+from mixent._numeric import forward_substitute
+from support import cov_with_condition
+
+
+def _longdouble_substitution(chol, rhs):
+    """Row-by-row forward substitution in extended precision, for 2-D rhs."""
+    chol = chol.astype(np.longdouble)
+    x = rhs.astype(np.longdouble)
+    for k in range(chol.shape[0]):
+        x[k] = (x[k] - (chol[k, :k, None] * x[:k]).sum(axis=0)) / chol[k, k]
+    return x
+
+
+def _relative_error(got, ref) -> float:
+    # Normwise per solution vector: its largest error over its largest entry.
+    err = np.abs(got.astype(np.longdouble) - ref).max(axis=0)
+    return float(np.max(err / np.abs(ref).max(axis=0)))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e5, 1e8, 1e11])
+@pytest.mark.parametrize(
+    "layout", ["vector", "matrix", "stacked-vectors", "stacked-matrices", "shared-factor"]
+)
+def test_forward_substitute_matches_independent_references(layout, cond):
+    rng = np.random.default_rng([int(math.log10(cond)), len(layout)])
+    for dim in (1, 2, 5, 12):
+        # Factors of covariances with the given condition number (the package
+        # refuses pivots below 1e-12 of the largest, so 1e11 is near its edge),
+        # and right-hand sides whose columns span six orders of magnitude.
+        chols = np.array([np.linalg.cholesky(cov_with_condition(rng, dim, cond))
+                          for _ in range(4)])
+        rhs = rng.standard_normal((4, dim, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, 1, 3))
+        chol, b = {
+            "vector": (chols[0], rhs[0, :, 0]),
+            "matrix": (chols[0], rhs[0]),
+            "stacked-vectors": (chols, rhs[:, :, 0]),
+            "stacked-matrices": (chols, rhs),
+            "shared-factor": (chols[0], rhs),
+        }[layout]
+        got = forward_substitute(chol, b)
+        assert got.shape == b.shape
+        if b.ndim == chol.ndim - 1:
+            b, got = b[..., None], got[..., None]
+        factors = np.broadcast_to(chol, got.shape[:-2] + (dim, dim)).reshape(-1, dim, dim)
+        columns = got.shape[-1]
+        systems = zip(factors, b.reshape(-1, dim, columns), got.reshape(-1, dim, columns))
+        for factor, rhs_k, x in systems:
+            scipy_ref = solve_triangular(factor, rhs_k, lower=True)
+            assert _relative_error(x, scipy_ref) <= 1e-12
+            assert _relative_error(x, _longdouble_substitution(factor, rhs_k)) <= 1e-12
+
+
+def test_forward_substitute_reads_only_the_lower_triangle():
+    rng = np.random.default_rng(3)
+    chol = np.linalg.cholesky(cov_with_condition(rng, 6, 1e4))
+    filled = chol + np.triu(np.full((6, 6), np.nan), k=1)
+    rhs = rng.standard_normal((6, 2))
+    assert np.array_equal(forward_substitute(filled, rhs), forward_substitute(chol, rhs))
+    assert np.array_equal(forward_substitute(filled, rhs[:, 0]), forward_substitute(chol, rhs[:, 0]))

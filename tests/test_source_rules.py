@@ -1,9 +1,11 @@
 """Rules the package source itself must follow."""
 
 import ast
+import json
 from pathlib import Path
 
 import mixent
+from support import run_python
 
 
 def test_no_assert_statements_in_the_package():
@@ -114,3 +116,45 @@ def test_no_general_solve_or_explicit_inverse_in_the_package():
                 if any(alias.name in forbidden for alias in node.names):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"general solves or explicit inverses in src: {found}"
+
+
+def test_no_scipy_import_in_the_package():
+    # NumPy is the only run-time dependency; SciPy is a test-only reference.
+    sources = sorted(Path(mixent.__file__).parent.glob("*.py"))
+    assert any(path.name == "gaussian.py" for path in sources)
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"scipy imports in src: {found}"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    proc = run_python("-c", "import sys, mixent.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_estimate_runs_where_scipy_cannot_be_imported(tmp_path):
+    spec = tmp_path / "mix.json"
+    spec.write_text(json.dumps({
+        "family": "gaussian",
+        "weights": [0.3, 0.7],
+        "components": [
+            {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            {"mean": [4.0, 0.0], "cov": [[2.0, 0.3], [0.3, 1.0]]},
+        ],
+    }))
+    # A None entry in sys.modules makes every later `import scipy` raise ImportError.
+    code = ("import sys; sys.modules['scipy'] = None; from mixent.cli import main; "
+            f"sys.exit(main(['estimate', '--spec', {str(spec)!r}, '--mc', '200']))")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert "H_KL" in proc.stdout and "H_MC" in proc.stdout
