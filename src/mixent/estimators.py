@@ -116,14 +116,19 @@ def kde_estimate(mixture: MixtureModel) -> float:
     return -fsum(weights[active] * values[active])
 
 
+def _elk_from_matrix(mixture: MixtureModel, log_cross: np.ndarray) -> float:
+    """The ELK baseline for a prebuilt matrix of ln int p_i p_j."""
+    weights = mixture.weights
+    active = mixture.active_indices()
+    cross = log_cross[np.ix_(active, active)]
+    return -fsum(weights[active] * log_sum_exp_rows(np.log(weights[active]), cross))
+
+
 def elk_estimate(mixture: MixtureModel) -> float:
     """Expected-likelihood-kernel baseline, a further lower bound on the entropy:
     -sum_i c_i ln sum_j c_j int p_i p_j."""
     comps = mixture.components
-    weights = mixture.weights
-    active = mixture.active_indices()
-    cross = type(comps[0]).elk_log_cross_matrix(comps)[np.ix_(active, active)]
-    return -fsum(weights[active] * log_sum_exp_rows(np.log(weights[active]), cross))
+    return _elk_from_matrix(mixture, type(comps[0]).elk_log_cross_matrix(comps))
 
 
 def clustered_gap_bound(mixture: MixtureModel, grouping: Grouping, alpha: float) -> float:
@@ -181,15 +186,19 @@ def estimate_all(
     """Run every estimator on one mixture.
 
     Monte Carlo is included only when mc_samples is given (it must then be at
-    least 2); seed feeds its substream derivation and nothing else.
+    least 2); seed feeds its substream derivation and nothing else.  The
+    Bhattacharyya and ELK matrices come from one order-1/2 pass of the
+    family's ``half_matrices``.
     """
     mc = mc_entropy(mixture, mc_samples, seed) if mc_samples is not None else None
+    comps = mixture.components
+    bd, log_cross = type(comps[0]).half_matrices(comps)
     return EstimateReport(
         h_cond=mixture.conditional_entropy(),
         h_joint=mixture.joint_entropy_upper(),
-        h_bd=lower_bound_bd(mixture),
+        h_bd=_estimate_from_matrix(mixture, bd),
         h_kl=upper_bound_kl(mixture),
         h_kde=kde_estimate(mixture),
-        h_elk=elk_estimate(mixture),
+        h_elk=_elk_from_matrix(mixture, log_cross),
         mc=mc,
     )

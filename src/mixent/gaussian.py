@@ -6,7 +6,10 @@ factor, all through ``_numeric.forward_substitute``, so the package needs
 NumPy alone.  No covariance matrix is ever inverted.  For density evaluation
 each component also keeps the inverse of its triangular factor, formed once
 at construction by one triangular solve, so a batch of points costs one
-subtraction and one matrix product.  A squared norm that overflows is left
+subtraction and one matrix product.  The pairwise matrix kernels factor each
+pair's blended covariance in stacked blocks of pairs; the Bhattacharyya
+distance and the ELK log cross-term share one factorization of
+cov_i + cov_j per unordered pair.  A squared norm that overflows is left
 at +inf without a warning: it is the exact distance of components whose
 means are too far apart to represent.
 """
@@ -44,7 +47,8 @@ class GaussianComponent:
     every downstream operation; ``inv_chol`` holds L^-1, used by
     ``log_density``.  The estimators reach the family's pairwise
     matrix kernels below through the ``kl_matrix``, ``chernoff_matrix`` and
-    ``elk_log_cross_matrix`` classmethods.
+    ``elk_log_cross_matrix`` classmethods, and through ``half_matrices``,
+    which returns the Bhattacharyya and ELK matrices of one order-1/2 pass.
     """
 
     __slots__ = ("mean", "cov", "chol", "inv_chol", "log_det")
@@ -87,17 +91,21 @@ class GaussianComponent:
         return 0.5 * (self.log_det + self.dim * (_LOG_2PI + 1.0))
 
     def log_density(self, x):
-        """Log density at one point of shape (d,) or a batch of shape (n, d).
+        """Log density at one point of shape (d,) or a batch of shape (n, d)."""
+        pts, single = as_points(x, self.dim, "component")
+        out = self._log_density_block(pts)
+        return float(out[0]) if single else out
+
+    def _log_density_block(self, pts):
+        """Log density of an (n, d) float batch that ``as_points`` has checked.
 
         The quadratic form is |L^-1 (x - mean)|^2.  The mean is subtracted
         before the product: expanding it as L^-1 x - L^-1 mean cancels badly
         for means far from the origin.
         """
-        pts, single = as_points(x, self.dim, "component")
         z = (pts - self.mean) @ self.inv_chol.T
         quad = np.einsum("ij,ij->i", z, z)
-        out = -0.5 * (quad + self.log_det + self.dim * _LOG_2PI)
-        return float(out[0]) if single else out
+        return -0.5 * (quad + self.log_det + self.dim * _LOG_2PI)
 
     def sample(self, rng, size=None):
         """Draw one vector (size=None) or a (size, d) batch using mean + L z."""
@@ -119,7 +127,11 @@ class GaussianComponent:
 
     @classmethod
     def elk_log_cross_matrix(cls, comps) -> np.ndarray:
-        return gaussian_elk_log_cross_matrix(comps)
+        return gaussian_half_matrices(comps)[1]
+
+    @classmethod
+    def half_matrices(cls, comps):
+        return gaussian_half_matrices(comps)
 
 
 def _check_pair(a: GaussianComponent, b: GaussianComponent) -> None:
@@ -199,8 +211,11 @@ def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
 
 
 # Matrix kernels: entry [i, j] equals the scalar function above at
-# (comps[i], comps[j]) to rounding, computed in N vectorised steps, each
-# holding O(N d^2) memory.  The scalar functions stay the reference.
+# (comps[i], comps[j]) to rounding.  The scalar functions stay the reference.
+
+# Floats per stacked d x d temporary in _pair_terms: a block holds
+# max(1, _BLOCK_FLOATS // d^2) pairs, so its memory is the same at any N and d.
+_BLOCK_FLOATS = 1 << 15
 
 
 def _stacked(comps):
@@ -211,10 +226,28 @@ def _stacked(comps):
 def _quad_log_det(deltas: np.ndarray, covs: np.ndarray):
     """|L_k^-1 deltas[k]|^2 and ln det covs[k] for each covariance in a stack,
     L_k its Cholesky factor: one stacked factorization, then one stacked
-    forward substitution."""
+    forward substitution.  The pair-block driver calls it once per block."""
     chol = np.linalg.cholesky(covs)
     log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     return _mahalanobis_sq(chol, deltas), log_det
+
+
+def _pair_terms(comps, rows, cols, w_row: float, w_col: float):
+    """|L_k^-1 (mean_i - mean_j)|^2 and ln det S_k for each pair
+    (i, j) = (rows[k], cols[k]), with S_k = w_row cov_i + w_col cov_j and L_k
+    its Cholesky factor: the one pair-block driver of the Chernoff and ELK
+    kernels.  A pair's arithmetic does not depend on the block it falls in.
+    """
+    means, covs, _ = _stacked(comps)
+    step = max(1, _BLOCK_FLOATS // comps[0].dim ** 2)
+    quad, log_det = np.empty(rows.size), np.empty(rows.size)
+    for start in range(0, rows.size, step):
+        block = slice(start, start + step)
+        i, j = rows[block], cols[block]
+        quad[block], log_det[block] = _quad_log_det(
+            means[i] - means[j], w_row * covs[i] + w_col * covs[j]
+        )
+    return quad, log_det
 
 
 def gaussian_kl_matrix(comps) -> np.ndarray:
@@ -239,35 +272,49 @@ def gaussian_kl_matrix(comps) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def gaussian_half_matrices(comps):
+    """(Bhattacharyya distance, ln int p_i p_j dx) for every pair, from one
+    factorization of S_ij = cov_i + cov_j per unordered pair i <= j.
+
+    With q = |L^-1 (mean_i - mean_j)|^2 for the factor L of S_ij, the ELK
+    log cross-term is -(q + ln|S_ij| + d ln 2 pi) / 2 and the distance is
+    q / 4 + (ln|S_ij| - ln|S_ii| / 2 - ln|S_jj| / 2) / 2.  The diagonal pairs'
+    own ln|S_ii| stand in for ln|cov_i| + d ln 2, so the d ln 2 terms cancel
+    exactly and bitwise-identical components are exactly zero apart.  Both
+    matrices are symmetric; the distance has a zero diagonal and is clamped
+    at zero.
+    """
+    n, d = len(comps), comps[0].dim
+    rows, cols = np.triu_indices(n)
+    quad, log_det = _pair_terms(comps, rows, cols, 1.0, 1.0)
+    self_log_det = log_det[rows == cols]
+    bd, elk = np.empty((n, n)), np.empty((n, n))
+    bd[rows, cols] = bd[cols, rows] = 0.25 * quad + 0.5 * (
+        log_det - 0.5 * self_log_det[rows] - 0.5 * self_log_det[cols]
+    )
+    elk[rows, cols] = elk[cols, rows] = -0.5 * (quad + log_det + d * _LOG_2PI)
+    np.fill_diagonal(bd, 0.0)
+    return np.maximum(bd, 0.0), elk
+
+
 def gaussian_chernoff_matrix(comps, alpha: float) -> np.ndarray:
     """Order-alpha Chernoff divergence for every pair, for an alpha in [0, 1]
     (``DistanceKind`` checks the order; this kernel does not).
 
-    Row i works on the N blended covariances (1 - alpha) cov_i + alpha cov_j.
+    Order 1/2 is the distance of ``gaussian_half_matrices``.  Any other order
+    factors (1 - alpha) cov_i + alpha cov_j over the ordered pairs i != j,
+    because that blend is not symmetric in (i, j).
     """
     n = len(comps)
     out = np.zeros((n, n))
     if alpha == 0.0 or alpha == 1.0:
         return out
-    means, covs, log_dets = _stacked(comps)
-    for i, a in enumerate(comps):
-        quad, log_det_mixed = _quad_log_det(a.mean - means, (1.0 - alpha) * a.cov + alpha * covs)
-        out[i] = 0.5 * alpha * (1.0 - alpha) * quad + 0.5 * (
-            log_det_mixed - (1.0 - alpha) * a.log_det - alpha * log_dets
-        )
-    np.fill_diagonal(out, 0.0)
+    if alpha == 0.5:
+        return gaussian_half_matrices(comps)[0]
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    quad, log_det_mixed = _pair_terms(comps, rows, cols, 1.0 - alpha, alpha)
+    log_dets = _stacked(comps)[2]
+    out[rows, cols] = 0.5 * alpha * (1.0 - alpha) * quad + 0.5 * (
+        log_det_mixed - (1.0 - alpha) * log_dets[rows] - alpha * log_dets[cols]
+    )
     return np.maximum(out, 0.0)
-
-
-def gaussian_elk_log_cross_matrix(comps) -> np.ndarray:
-    """ln int p_i p_j dx for every pair, the diagonal included.
-
-    Row i works on the N summed covariances cov_i + cov_j.
-    """
-    n, d = len(comps), comps[0].dim
-    means, covs, _ = _stacked(comps)
-    out = np.empty((n, n))
-    for i, a in enumerate(comps):
-        quad, log_det = _quad_log_det(a.mean - means, a.cov + covs)
-        out[i] = -0.5 * (quad + log_det + d * _LOG_2PI)
-    return out

@@ -106,8 +106,10 @@ class MixtureModel:
             # takes other BLAS and summation routes and rounds differently.
             stop = n if n - start <= _BLOCK + 1 else start + _BLOCK
             block, buf = pts[start:stop], rows[:, : stop - start]
+            # The points were checked once above; each component skips its own check.
             for row, k in enumerate(active):
-                np.add(log_weights[row], self.components[k].log_density(block), out=buf[row])
+                np.add(log_weights[row], self.components[k]._log_density_block(block),
+                       out=buf[row])
             out[start:stop] = log_sum_exp_axis0(buf)
             start = stop
         return float(out[0]) if single else out

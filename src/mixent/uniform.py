@@ -19,7 +19,8 @@ class UniformBox:
 
     The estimators reach the family's pairwise matrix kernels below through
     the ``kl_matrix``, ``chernoff_matrix`` (any order in [0, 1]) and
-    ``elk_log_cross_matrix`` classmethods.
+    ``elk_log_cross_matrix`` classmethods; ``half_matrices`` returns the
+    order-1/2 Chernoff and ELK matrices together, as for Gaussians.
     """
 
     __slots__ = ("lower", "upper", "log_volume")
@@ -52,9 +53,13 @@ class UniformBox:
     def log_density(self, x):
         """-log_volume inside the closed box, -inf outside; accepts (d,) or (n, d)."""
         pts, single = as_points(x, self.dim, "component")
-        inside = np.all((pts >= self.lower) & (pts <= self.upper), axis=-1)
-        out = np.where(inside, -self.log_volume, NEG_INF)
+        out = self._log_density_block(pts)
         return float(out[0]) if single else out
+
+    def _log_density_block(self, pts):
+        """Log density of an (n, d) float batch that ``as_points`` has checked."""
+        inside = np.all((pts >= self.lower) & (pts <= self.upper), axis=-1)
+        return np.where(inside, -self.log_volume, NEG_INF)
 
     def sample(self, rng, size=None):
         n = 1 if size is None else int(size)
@@ -72,6 +77,10 @@ class UniformBox:
     @classmethod
     def elk_log_cross_matrix(cls, comps) -> np.ndarray:
         return uniform_elk_log_cross_matrix(comps)
+
+    @classmethod
+    def half_matrices(cls, comps):
+        return uniform_chernoff_matrix(comps, 0.5), uniform_elk_log_cross_matrix(comps)
 
 
 def _log_overlap(a: UniformBox, b: UniformBox) -> float:

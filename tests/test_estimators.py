@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixent.estimators
+import mixent.gaussian
 from mixent import (
     BHATTACHARYYA,
     KL,
@@ -444,10 +445,30 @@ def test_estimate_all_report_fields_and_ordering():
     assert "h_kde" in repr(report)
 
 
-def test_estimate_all_builds_two_distance_matrices(matrix_builds):
+@pytest.fixture
+def half_passes(monkeypatch):
+    """The component count of every order-1/2 pass of the Gaussian family."""
+    sizes = []
+    original = mixent.gaussian.gaussian_half_matrices
+
+    def counted(comps):
+        sizes.append(len(comps))
+        return original(comps)
+
+    monkeypatch.setattr(mixent.gaussian, "gaussian_half_matrices", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "estimate, kinds",
+    [(estimate_all, [KL]), (lower_bound_bd, [BHATTACHARYYA]), (elk_estimate, [])],
+    ids=["estimate_all", "lower_bound_bd", "elk_estimate"],
+)
+def test_estimates_run_one_order_half_pass(matrix_builds, half_passes, estimate, kinds):
     rng = np.random.default_rng(20)
-    estimate_all(random_gaussian_mixture(rng, 4, 2))
-    assert matrix_builds == [BHATTACHARYYA, KL]
+    estimate(random_gaussian_mixture(rng, 4, 2))
+    assert matrix_builds == kinds
+    assert half_passes == [4]
 
 
 def test_estimate_all_with_monte_carlo():

@@ -12,6 +12,7 @@ import mixent.estimators
 import mixent.gaussian
 import mixent.uniform
 from mixent import (
+    BHATTACHARYYA,
     KL,
     AwgnChannel,
     GaussianComponent,
@@ -25,8 +26,10 @@ from mixent import (
     gaussian_chernoff,
     gaussian_elk_log_cross,
     gaussian_kl,
+    gen_gaussian_clustered,
     lower_bound_chernoff,
     mi_bounds,
+    pairwise_distance_matrix,
     pairwise_estimate,
     uniform_chernoff,
     uniform_elk_log_cross,
@@ -163,6 +166,58 @@ def test_box_kernels_on_every_placement():
 def test_single_component_kernels(comp):
     assert_kernels_match([comp])
     assert type(comp).elk_log_cross_matrix([comp])[0, 0] == SCALAR[type(comp)][2](comp, comp)
+
+
+def exactness_mixture(kind, seed):
+    """``clustered``: the g3 sweep's mixture at sigma = 13.8, whose components
+    share a center and a covariance exactly.  ``copies``: random components
+    followed by bitwise copies of three of them."""
+    if kind == "clustered":
+        return gen_gaussian_clustered(20, 5, 5, 13.804574186067095, seed, False)[0]
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+    comps = gaussian_comps(rng, n, dim)
+    comps += [GaussianComponent(comps[k].mean, comps[k].cov) for k in rng.integers(0, n, 3)]
+    return MixtureModel(rng.uniform(0.2, 1.0, n + 3), comps)
+
+
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("kind", ["clustered", "copies"])
+def test_identical_components_are_exactly_zero_apart(kind, seed):
+    mix = exactness_mixture(kind, seed)
+    comps = mix.components
+    bd = pairwise_distance_matrix(mix, BHATTACHARYYA)
+    identical = [
+        (i, j) for i in range(len(comps)) for j in range(len(comps))
+        if np.array_equal(comps[i].mean, comps[j].mean)
+        and np.array_equal(comps[i].cov, comps[j].cov)
+    ]
+    assert len(identical) > len(comps)
+    assert [bd[i, j] for i, j in identical] == [0.0] * len(identical)
+    report = estimate_all(mix)
+    assert report.h_cond <= report.h_bd <= report.h_kl <= report.h_joint
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+def test_pair_blocks_do_not_change_the_matrices(monkeypatch, n):
+    # At d = 13 a default block holds 32768 // 169 = 193 pairs, so n = 20
+    # (210 unordered and 380 ordered pairs) straddles a block edge.
+    dim = 13
+    comps = gaussian_comps(np.random.default_rng(n), n, dim)
+
+    def matrices():
+        return [*GaussianComponent.half_matrices(comps)] + [
+            GaussianComponent.chernoff_matrix(comps, alpha) for alpha in (0.1, 0.3, 0.9)
+        ]
+
+    default = matrices()
+    bd, elk = default[:2]
+    assert np.array_equal(bd, bd.T) and np.array_equal(elk, elk.T)
+    assert (np.diag(bd) == 0.0).all() and bd[0, -1] == 0.0
+    for pairs in (1, 7):
+        monkeypatch.setattr(mixent.gaussian, "_BLOCK_FLOATS", pairs * dim * dim)
+        for blocked, reference in zip(matrices(), default):
+            assert np.array_equal(blocked, reference)
 
 
 @pytest.fixture

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixent.gaussian
+import mixent.mixture
+import mixent.uniform
 from mixent import (
     DimensionMismatch,
     EmptyMixture,
@@ -161,6 +164,23 @@ def test_log_density_does_not_depend_on_the_block_split(family, dim):
     # Single points take other BLAS and summation routes: equal to rounding.
     for i in (0, b - 1, b, n - 1):
         assert math.isclose(mix.log_density(points[i]), full[i], rel_tol=1e-14, abs_tol=1e-14)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_log_density_checks_the_points_once(monkeypatch, family):
+    mix, points = _streamed_mixture(family, 2)
+    full = mix.log_density(points)
+    checks = []
+    original = mixent.mixture.as_points
+
+    def counted(*args):
+        checks.append(args[-1])
+        return original(*args)
+
+    for module in (mixent.mixture, mixent.gaussian, mixent.uniform):
+        monkeypatch.setattr(module, "as_points", counted)
+    assert np.array_equal(mix.log_density(points), full)
+    assert checks == ["mixture"]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
