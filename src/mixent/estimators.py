@@ -44,13 +44,6 @@ class DistanceKind:
         if self.name == "chernoff" and (self.alpha is None or not 0.0 <= self.alpha <= 1.0):
             raise AlphaOutOfRange(f"chernoff order must lie in [0, 1], got {self.alpha}")
 
-    def matrix(self, comps) -> np.ndarray:
-        """The N x N distance matrix from the components' family kernel."""
-        family = type(comps[0])
-        if self.name == "kl":
-            return family.kl_matrix(comps)
-        return family.chernoff_matrix(comps, self.alpha)
-
 
 KL = DistanceKind("kl")
 BHATTACHARYYA = DistanceKind("chernoff", 0.5)
@@ -67,7 +60,10 @@ def pairwise_distance_matrix(mixture: MixtureModel, kind: DistanceKind) -> np.nd
     Entries may be +inf (disjoint or non-nested box supports); negatives
     cannot occur because every closed form clamps rounding residue at zero.
     """
-    return kind.matrix(mixture.components)
+    comps = mixture.components
+    if kind.name == "kl":
+        return type(comps[0]).kl_matrix(comps)
+    return type(comps[0]).chernoff_matrix(comps, kind.alpha)
 
 
 def _estimate_from_matrix(mixture: MixtureModel, dmat: np.ndarray) -> float:
@@ -128,7 +124,7 @@ def elk_estimate(mixture: MixtureModel) -> float:
     """Expected-likelihood-kernel baseline, a further lower bound on the entropy:
     -sum_i c_i ln sum_j c_j int p_i p_j."""
     comps = mixture.components
-    return _elk_from_matrix(mixture, type(comps[0]).elk_log_cross_matrix(comps))
+    return _elk_from_matrix(mixture, type(comps[0]).half_matrices(comps)[1])
 
 
 def clustered_gap_bound(mixture: MixtureModel, grouping: Grouping, alpha: float) -> float:

@@ -47,8 +47,8 @@ class GaussianComponent:
     every downstream operation; ``inv_chol`` holds L^-1, used by
     ``log_density``.  The estimators reach the family's pairwise
     matrix kernels below through the ``kl_matrix``, ``chernoff_matrix`` and
-    ``elk_log_cross_matrix`` classmethods, and through ``half_matrices``,
-    which returns the Bhattacharyya and ELK matrices of one order-1/2 pass.
+    ``half_matrices`` classmethods; ``half_matrices`` returns the
+    Bhattacharyya and ELK matrices of one order-1/2 pass.
     """
 
     __slots__ = ("mean", "cov", "chol", "inv_chol", "log_det")
@@ -124,10 +124,6 @@ class GaussianComponent:
     @classmethod
     def chernoff_matrix(cls, comps, alpha: float) -> np.ndarray:
         return gaussian_chernoff_matrix(comps, alpha)
-
-    @classmethod
-    def elk_log_cross_matrix(cls, comps) -> np.ndarray:
-        return gaussian_half_matrices(comps)[1]
 
     @classmethod
     def half_matrices(cls, comps):

@@ -69,10 +69,18 @@ def _simpson(y: np.ndarray, step: float) -> float:
     )
 
 
-def _box_edges(component) -> list[float]:
+def _cover(component) -> tuple[float, float, bool]:
+    """(lo, hi, is_box): a box's support, or 12 standard deviations around a
+    Gaussian mean.  This is the oracle's one test of the component family."""
     if isinstance(component, UniformBox):
-        return [float(component.lower[0]), float(component.upper[0])]
-    return []
+        return float(component.lower[0]), float(component.upper[0]), True
+    sd = math.sqrt(float(component.cov[0, 0]))
+    return float(component.mean[0]) - 12.0 * sd, float(component.mean[0]) + 12.0 * sd, False
+
+
+def _box_edges(component) -> list[float]:
+    lo, hi, is_box = _cover(component)
+    return [lo, hi] if is_box else []
 
 
 def _segments(lo: float, hi: float, edges) -> list[tuple[float, float]]:
@@ -86,8 +94,9 @@ def _component_density(component, xs: np.ndarray, midpoint: float) -> np.ndarray
     Box components are classified once by the segment midpoint so that grid
     points sitting exactly on a support edge do not pick up jump values.
     """
-    if isinstance(component, UniformBox):
-        inside = component.lower[0] < midpoint < component.upper[0]
+    lo, hi, is_box = _cover(component)
+    if is_box:
+        inside = lo < midpoint < hi
         value = math.exp(-component.log_volume) if inside else 0.0
         return np.full(xs.size, value)
     return np.exp(component.log_density(xs[:, None]))
@@ -129,13 +138,6 @@ def quad_entropy_1d(mixture: MixtureModel, lo: float, hi: float, points: int = 1
     return fsum(pieces)
 
 
-def _cover(component) -> tuple[float, float]:
-    if isinstance(component, UniformBox):
-        return float(component.lower[0]), float(component.upper[0])
-    sd = math.sqrt(float(component.cov[0, 0]))
-    return float(component.mean[0]) - 12.0 * sd, float(component.mean[0]) + 12.0 * sd
-
-
 def quad_cross_term_1d(p, q, kind: str, alpha: float | None = None, points: int = 20001) -> float:
     """Quadrature value of a pairwise integrand for two 1-D components.
 
@@ -160,11 +162,11 @@ def quad_cross_term_1d(p, q, kind: str, alpha: float | None = None, points: int 
     elif kind not in ("product", "sqrt_product", "kl"):
         raise MixtureError(f"unknown integrand kind {kind!r}")
 
-    lo = min(_cover(p)[0], _cover(q)[0])
-    hi = max(_cover(p)[1], _cover(q)[1])
+    (p_lo, p_hi, _), (q_lo, q_hi, _) = _cover(p), _cover(q)
+    lo, hi = min(p_lo, q_lo), max(p_hi, q_hi)
     if kind == "kl":
         # the integrand vanishes with p, so p's own cover suffices
-        lo, hi = _cover(p)
+        lo, hi = p_lo, p_hi
     edges = _box_edges(p) + _box_edges(q)
 
     pieces = []

@@ -19,8 +19,8 @@ class UniformBox:
 
     The estimators reach the family's pairwise matrix kernels below through
     the ``kl_matrix``, ``chernoff_matrix`` (any order in [0, 1]) and
-    ``elk_log_cross_matrix`` classmethods; ``half_matrices`` returns the
-    order-1/2 Chernoff and ELK matrices together, as for Gaussians.
+    ``half_matrices`` classmethods; ``half_matrices`` returns the
+    Bhattacharyya and ELK matrices of one log-overlap pass, as for Gaussians.
     """
 
     __slots__ = ("lower", "upper", "log_volume")
@@ -75,12 +75,8 @@ class UniformBox:
         return uniform_chernoff_matrix(comps, alpha)
 
     @classmethod
-    def elk_log_cross_matrix(cls, comps) -> np.ndarray:
-        return uniform_elk_log_cross_matrix(comps)
-
-    @classmethod
     def half_matrices(cls, comps):
-        return uniform_chernoff_matrix(comps, 0.5), uniform_elk_log_cross_matrix(comps)
+        return uniform_half_matrices(comps)
 
 
 def _log_overlap(a: UniformBox, b: UniformBox) -> float:
@@ -133,8 +129,9 @@ def uniform_elk_cross(a: UniformBox, b: UniformBox) -> float:
 
 # Matrix kernels: entry [i, j] equals the scalar function above at
 # (comps[i], comps[j]) to rounding, computed in N vectorised steps over
-# broadcast bounds, each holding O(N d) memory.  The scalar functions stay
-# the reference.
+# broadcast bounds, each holding O(N d) memory.  The Chernoff and ELK
+# matrices share one log-overlap matrix; KL needs only containment.  The
+# scalar functions stay the reference.
 
 
 def _bounds(comps):
@@ -147,16 +144,30 @@ def _within(lower, upper, outer_lower, outer_upper) -> np.ndarray:
     return np.all(outer_lower <= lower, axis=-1) & np.all(upper <= outer_upper, axis=-1)
 
 
-def _log_overlap_row(a: UniformBox, lowers, uppers, log_volumes) -> np.ndarray:
-    """_log_overlap(a, b) for every box b given by the rows of lowers, uppers."""
-    sides = np.minimum(a.upper, uppers) - np.maximum(a.lower, lowers)
-    positive = sides > 0
-    log_sides = np.log(np.where(positive, sides, 1.0)).sum(axis=1)
-    out = np.where(positive.all(axis=1), log_sides, NEG_INF)
-    # A nested pair overlaps in its inner box, whose log volume is exact; this
-    # keeps identical boxes at distance exactly zero, as in the scalar form.
-    out = np.where(_within(a.lower, a.upper, lowers, uppers), a.log_volume, out)
-    return np.where(_within(lowers, uppers, a.lower, a.upper), log_volumes, out)
+def _log_overlaps(comps):
+    """(_log_overlap(comps[i], comps[j]) for every pair, the log volumes).
+
+    The matrix is exactly symmetric.  A nested pair overlaps in its inner
+    box, whose log volume is exact; this keeps identical boxes at distance
+    exactly zero, as in the scalar form.
+    """
+    lowers, uppers, log_volumes = _bounds(comps)
+    out = np.empty((len(comps), len(comps)))
+    for i, a in enumerate(comps):
+        sides = np.minimum(a.upper, uppers) - np.maximum(a.lower, lowers)
+        positive = sides > 0
+        log_sides = np.log(np.where(positive, sides, 1.0)).sum(axis=1)
+        row = np.where(positive.all(axis=1), log_sides, NEG_INF)
+        row = np.where(_within(a.lower, a.upper, lowers, uppers), a.log_volume, row)
+        out[i] = np.where(_within(lowers, uppers, a.lower, a.upper), log_volumes, row)
+    return out, log_volumes
+
+
+def _chernoff(log_overlap, log_volumes, alpha: float) -> np.ndarray:
+    """alpha ln V_i + (1 - alpha) ln V_j - ln V_ij, zero on the diagonal, clamped at zero."""
+    out = alpha * log_volumes[:, None] + (1.0 - alpha) * log_volumes - log_overlap
+    np.fill_diagonal(out, 0.0)
+    return np.maximum(out, 0.0)
 
 
 def uniform_kl_matrix(comps) -> np.ndarray:
@@ -173,22 +184,15 @@ def uniform_kl_matrix(comps) -> np.ndarray:
 def uniform_chernoff_matrix(comps, alpha: float) -> np.ndarray:
     """Order-alpha Chernoff divergence for every pair, for an alpha in [0, 1]
     (``DistanceKind`` checks the order; this kernel does not)."""
-    n = len(comps)
-    out = np.zeros((n, n))
     if alpha == 0.0 or alpha == 1.0:
-        return out
-    lowers, uppers, log_volumes = _bounds(comps)
-    for i, a in enumerate(comps):
-        log_overlap = _log_overlap_row(a, lowers, uppers, log_volumes)
-        out[i] = alpha * a.log_volume + (1.0 - alpha) * log_volumes - log_overlap
-    np.fill_diagonal(out, 0.0)
-    return np.maximum(out, 0.0)
+        return np.zeros((len(comps), len(comps)))
+    return _chernoff(*_log_overlaps(comps), alpha)
 
 
-def uniform_elk_log_cross_matrix(comps) -> np.ndarray:
-    """ln int p_i p_j dx for every pair, the diagonal included; -inf if disjoint."""
-    lowers, uppers, log_volumes = _bounds(comps)
-    out = np.empty((len(comps), len(comps)))
-    for i, a in enumerate(comps):
-        out[i] = _log_overlap_row(a, lowers, uppers, log_volumes) - (a.log_volume + log_volumes)
-    return out
+def uniform_half_matrices(comps):
+    """(Bhattacharyya distance, ln int p_i p_j dx) for every pair from one
+    log-overlap matrix; the ELK term is ln V_ij - ln V_i - ln V_j, -inf where
+    the boxes are disjoint or only touch.  Both matrices are symmetric."""
+    log_overlap, log_volumes = _log_overlaps(comps)
+    elk = log_overlap - (log_volumes[:, None] + log_volumes)
+    return _chernoff(log_overlap, log_volumes, 0.5), elk

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import mixent.estimators
 import mixent.gaussian
+import mixent.uniform
 from mixent import (
     BHATTACHARYYA,
     KL,
@@ -445,30 +446,33 @@ def test_estimate_all_report_fields_and_ordering():
     assert "h_kde" in repr(report)
 
 
-@pytest.fixture
-def half_passes(monkeypatch):
-    """The component count of every order-1/2 pass of the Gaussian family."""
-    sizes = []
-    original = mixent.gaussian.gaussian_half_matrices
-
-    def counted(comps):
-        sizes.append(len(comps))
-        return original(comps)
-
-    monkeypatch.setattr(mixent.gaussian, "gaussian_half_matrices", counted)
-    return sizes
+# The function behind each family's order-1/2 pass: the Gaussian pair
+# factorization, and the box log-overlap matrix.
+HALF_PASS = {
+    "gaussian": (mixent.gaussian, "gaussian_half_matrices", random_gaussian_mixture),
+    "uniform": (mixent.uniform, "_log_overlaps", random_uniform_mixture),
+}
 
 
+@pytest.mark.parametrize("family", sorted(HALF_PASS))
 @pytest.mark.parametrize(
     "estimate, kinds",
     [(estimate_all, [KL]), (lower_bound_bd, [BHATTACHARYYA]), (elk_estimate, [])],
     ids=["estimate_all", "lower_bound_bd", "elk_estimate"],
 )
-def test_estimates_run_one_order_half_pass(matrix_builds, half_passes, estimate, kinds):
-    rng = np.random.default_rng(20)
-    estimate(random_gaussian_mixture(rng, 4, 2))
+def test_estimates_run_one_order_half_pass(monkeypatch, matrix_builds, estimate, kinds, family):
+    module, name, build = HALF_PASS[family]
+    sizes = []
+    original = getattr(module, name)
+
+    def counted(comps):
+        sizes.append(len(comps))
+        return original(comps)
+
+    monkeypatch.setattr(module, name, counted)
+    estimate(build(np.random.default_rng(20), 4, 2))
     assert matrix_builds == kinds
-    assert half_passes == [4]
+    assert sizes == [4]
 
 
 def test_estimate_all_with_monte_carlo():

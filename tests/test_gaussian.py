@@ -85,7 +85,7 @@ def test_matrix_kernels_are_the_scalar_closed_forms():
     a, b = random_pair(21)
     kl = GaussianComponent.kl_matrix((a, b))
     chernoff = GaussianComponent.chernoff_matrix((a, b), 0.3)
-    cross = GaussianComponent.elk_log_cross_matrix((a, b))
+    cross = GaussianComponent.half_matrices((a, b))[1]
     for (i, p), (j, q) in ((0, a), (1, b)), ((1, b), (0, a)):
         assert math.isclose(kl[i, j], gaussian_kl(p, q), rel_tol=1e-12)
         assert math.isclose(chernoff[i, j], gaussian_chernoff(p, q, 0.3), rel_tol=1e-12)

@@ -89,7 +89,7 @@ def assert_kernels_match(comps) -> None:
         assert (dmat >= 0.0).all()
     for alpha in (0.0, 1.0):
         assert (family.chernoff_matrix(comps, alpha) == 0.0).all()
-    assert_matches(family.elk_log_cross_matrix(comps), scalar_matrix(elk, comps, False))
+    assert_matches(family.half_matrices(comps)[1], scalar_matrix(elk, comps, False))
 
 
 def grid_boxes(rng, n: int, dim: int) -> list[UniformBox]:
@@ -155,7 +155,28 @@ def test_box_kernels_on_every_placement():
             assert bd[0, 1] == 0.0 and bd[0, 3] == math.inf and bd[0, 5] == math.inf
         kl = UniformBox.kl_matrix(boxes)
         assert kl[2, 0] == math.log(8.0) and kl[0, 2] == math.inf
-        assert UniformBox.elk_log_cross_matrix(boxes)[0, 4] == -math.inf
+        assert UniformBox.half_matrices(boxes)[1][0, 4] == -math.inf
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_box_half_pass_on_grid_placements(seed):
+    # A non-integer scale keeps every placement, but the kernel's sum of log
+    # sides can then miss a box's fsum log volume by an ulp, so identical
+    # boxes are exactly zero apart only through the nesting overrides.
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.1, 3.0)
+    grid = grid_boxes(rng, int(rng.integers(2, 9)), int(rng.integers(1, 6)))
+    boxes = [UniformBox(b.lower * scale, b.upper * scale) for b in grid + grid[:1]]
+    bd, elk = UniformBox.half_matrices(boxes)
+    assert np.array_equal(bd, UniformBox.chernoff_matrix(boxes, 0.5))
+    assert np.array_equal(bd, bd.T) and np.array_equal(elk, elk.T)
+    lowers = np.array([b.lower for b in boxes])
+    uppers = np.array([b.upper for b in boxes])
+    identical = (lowers[:, None] == lowers).all(axis=-1) & (uppers[:, None] == uppers).all(axis=-1)
+    assert identical.sum() > len(boxes)
+    assert (bd[identical] == 0.0).all()
+    sides = np.minimum(uppers[:, None], uppers) - np.maximum(lowers[:, None], lowers)
+    assert np.array_equal(np.isneginf(elk), (sides <= 0.0).any(axis=-1))
 
 
 @pytest.mark.parametrize(
@@ -165,7 +186,7 @@ def test_box_kernels_on_every_placement():
 )
 def test_single_component_kernels(comp):
     assert_kernels_match([comp])
-    assert type(comp).elk_log_cross_matrix([comp])[0, 0] == SCALAR[type(comp)][2](comp, comp)
+    assert type(comp).half_matrices([comp])[1][0, 0] == SCALAR[type(comp)][2](comp, comp)
 
 
 def exactness_mixture(kind, seed):

@@ -61,6 +61,14 @@ def test_component_type_checks_stay_in_the_oracle_modules():
     assert not found, f"component isinstance checks outside {sorted(allowed)}: {found}"
 
 
+def test_component_classes_share_one_pair_contract():
+    # The estimators reach a family only through these three matrix kernels.
+    contract = {"kl_matrix", "chernoff_matrix", "half_matrices"}
+    for family in (mixent.GaussianComponent, mixent.UniformBox):
+        found = {name for name, value in vars(family).items() if isinstance(value, classmethod)}
+        assert found == contract, family.__name__
+
+
 def test_public_names_are_unique_and_resolve():
     assert len(mixent.__all__) == len(set(mixent.__all__))
     missing = [name for name in mixent.__all__ if not hasattr(mixent, name)]
