@@ -5,13 +5,16 @@ factor diagonal and quadratic forms from triangular solves against the
 factor, all through ``_numeric.forward_substitute``, so the package needs
 NumPy alone.  No covariance matrix is ever inverted.  For density evaluation
 each component also keeps the inverse of its triangular factor, formed once
-at construction by one triangular solve, so a batch of points costs one
-subtraction and one matrix product.  The pairwise matrix kernels factor each
-pair's blended covariance in stacked blocks of pairs; the Bhattacharyya
-distance and the ELK log cross-term share one factorization of
-cov_i + cov_j per unordered pair.  A squared norm that overflows is left
-at +inf without a warning: it is the exact distance of components whose
-means are too far apart to represent.
+at construction by one triangular solve.  A batch of points is laid out with
+the points on the last axis, so it costs one transposed copy, one
+subtraction, one (d, d) by (d, n) matrix product and a sum over d rows.
+The KL matrix kernel solves a block of columns in one stacked triangular
+solve.  The other pairwise matrix kernels factor each pair's blended
+covariance in stacked blocks of pairs; the Bhattacharyya distance and the
+ELK log cross-term share one factorization of cov_i + cov_j per unordered
+pair.  A squared norm that overflows is left at +inf without a warning: it
+is the exact distance of components whose means are too far apart to
+represent.
 """
 
 from __future__ import annotations
@@ -77,9 +80,9 @@ class GaussianComponent:
         self.mean = mean
         self.cov = cov
         self.chol = chol
-        # Fortran order makes inv_chol.T, the right operand in log_density,
-        # C-contiguous, which the block product runs faster on.
-        self.inv_chol = np.asfortranarray(forward_substitute(chol, np.eye(mean.size)))
+        # The left operand of the block product in log_density.  Its memory
+        # order does not change the product's speed or its bits.
+        self.inv_chol = forward_substitute(chol, np.eye(mean.size))
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
 
     @property
@@ -99,12 +102,18 @@ class GaussianComponent:
     def _log_density_block(self, pts):
         """Log density of an (n, d) float batch that ``as_points`` has checked.
 
-        The quadratic form is |L^-1 (x - mean)|^2.  The mean is subtracted
-        before the product: expanding it as L^-1 x - L^-1 mean cancels badly
-        for means far from the origin.
+        The quadratic form is |L^-1 (x - mean)|^2, formed with the points on
+        the last axis so that every elementwise pass runs along n, not d.
+        The mean is subtracted before the product: expanding it as
+        L^-1 x - L^-1 mean cancels badly for means far from the origin.
         """
-        z = (pts - self.mean) @ self.inv_chol.T
-        quad = np.einsum("ij,ij->i", z, z)
+        # Copying the transpose first, then subtracting in place, is faster than
+        # one subtraction read through the transpose; the bits are the same.
+        delta = pts.T.copy()
+        delta -= self.mean[:, None]
+        z = self.inv_chol @ delta
+        with np.errstate(over="ignore"):  # +inf is exact; see _mahalanobis_sq
+            quad = np.square(z, out=z).sum(axis=0)
         return -0.5 * (quad + self.log_det + self.dim * _LOG_2PI)
 
     def sample(self, rng, size=None):
@@ -209,8 +218,10 @@ def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
 # Matrix kernels: entry [i, j] equals the scalar function above at
 # (comps[i], comps[j]) to rounding.  The scalar functions stay the reference.
 
-# Floats per stacked d x d temporary in _pair_terms: a block holds
-# max(1, _BLOCK_FLOATS // d^2) pairs, so its memory is the same at any N and d.
+# Floats per stacked temporary: a block of _pair_terms holds
+# max(1, _BLOCK_FLOATS // d^2) pairs and a block of gaussian_kl_matrix
+# max(1, _BLOCK_FLOATS // (d N (d + 1))) columns, so their memory is the same
+# at any N and d (unless one pair or column alone exceeds it).
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -249,21 +260,27 @@ def _pair_terms(comps, rows, cols, w_row: float, w_col: float):
 def gaussian_kl_matrix(comps) -> np.ndarray:
     """KL(comps[i] || comps[j]) for every pair, with an exactly zero diagonal.
 
-    Column j is one triangular solve with L_j against every mean difference
-    and every Cholesky factor at once.
+    Each block of columns j is one stacked triangular solve: L_j against
+    every mean difference mean_i - mean_j and every Cholesky factor L_i at
+    once.  A column's arithmetic does not depend on the block it falls in.
     """
     n, d = len(comps), comps[0].dim
     means, _, log_dets = _stacked(comps)
-    # Column block i of the solve is L_j^-1 L_i, whose squared norm is the trace term.
+    # Columns n + i d .. n + i d + d - 1 of solve j hold L_j^-1 L_i, whose
+    # squared norm is the trace term.
     factors = np.concatenate([c.chol for c in comps], axis=1)
+    step = max(1, _BLOCK_FLOATS // (d * n * (d + 1)))
     out = np.empty((n, n))
-    for j, b in enumerate(comps):
-        solved = forward_substitute(b.chol, np.concatenate([(means - b.mean).T, factors], axis=1))
+    for start in range(0, n, step):
+        js = slice(start, start + step)
+        deltas = (means - means[js, None]).transpose(0, 2, 1)
+        rhs = np.concatenate([deltas, np.broadcast_to(factors, (len(deltas), d, n * d))], axis=2)
+        solved = forward_substitute(np.array([c.chol for c in comps[js]]), rhs)
         with np.errstate(over="ignore"):  # +inf is exact here too; see _mahalanobis_sq
             squares = solved * solved
-        quad = squares[:, :n].sum(axis=0)
-        trace = squares[:, n:].sum(axis=0).reshape(n, d).sum(axis=1)
-        out[:, j] = 0.5 * (b.log_det - log_dets + quad + trace - d)
+        quad = squares[..., :n].sum(axis=1)
+        trace = squares[..., n:].sum(axis=1).reshape(-1, n, d).sum(axis=2)
+        out[:, js] = (0.5 * (log_dets[js, None] - log_dets + quad + trace - d)).T
     np.fill_diagonal(out, 0.0)
     return np.maximum(out, 0.0)
 

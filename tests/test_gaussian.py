@@ -1,6 +1,7 @@
 """Gaussian components: construction, entropy, divergences, shared-covariance bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,19 @@ def test_log_density_matches_scipy_multivariate_normal(dim, seed, offset):
     got = GaussianComponent(mean, cov).log_density(pts)
     ref = multivariate_normal(mean, cov).logpdf(pts)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_log_density_far_from_the_mean_is_minus_infinity_without_warnings():
+    # The squared distance overflows to +inf, the exact value: no warning.
+    comp = GaussianComponent(np.zeros(3), np.diag([1.0, 2.0, 0.5]))
+    pts = np.array([[1e160, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1e160, 1e160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = comp.log_density(pts[0])
+        batch = comp.log_density(pts)
+    assert single == -math.inf
+    assert np.isneginf(batch).tolist() == [True, False, True]
+    assert batch[1] == comp.log_density(pts[1])
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e5, 1e8, 1e11])

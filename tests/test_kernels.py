@@ -241,6 +241,22 @@ def test_pair_blocks_do_not_change_the_matrices(monkeypatch, n):
             assert np.array_equal(blocked, reference)
 
 
+@pytest.mark.parametrize("columns", [1, 2, 9])
+def test_kl_column_blocks_do_not_change_the_matrix(monkeypatch, columns):
+    # At d = 13, N = 20 one KL column takes d N (d + 1) = 3640 floats of the
+    # budget, so a default block holds 9 columns and N = 20 ends in a partial block.
+    dim, n = 13, 20
+    comps = gaussian_comps(np.random.default_rng(13), n, dim)
+    per_column = dim * n * (dim + 1)
+    assert mixent.gaussian._BLOCK_FLOATS // per_column == 9
+    default = GaussianComponent.kl_matrix(comps)
+    monkeypatch.setattr(mixent.gaussian, "_BLOCK_FLOATS", columns * per_column)
+    blocked = GaussianComponent.kl_matrix(comps)
+    assert np.array_equal(blocked, default)
+    assert (np.diag(blocked) == 0.0).all()
+    assert_matches(blocked, scalar_matrix(gaussian_kl, comps))
+
+
 @pytest.fixture
 def no_pair_functions(monkeypatch):
     """Every scalar pair function, wherever a mixent module binds it, raises."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import multivariate_normal
 
 import mixent.gaussian
 import mixent.mixture
@@ -164,6 +165,27 @@ def test_log_density_does_not_depend_on_the_block_split(family, dim):
     # Single points take other BLAS and summation routes: equal to rounding.
     for i in (0, b - 1, b, n - 1):
         assert math.isclose(mix.log_density(points[i]), full[i], rel_tol=1e-14, abs_tol=1e-14)
+
+
+def test_gaussian_log_density_matches_scipy_with_an_fsum_log_sum_exp():
+    # An independent reference: scipy's logpdf per component, combined with a
+    # max-shifted, exactly summed log-sum-exp over the positive weights.
+    rng = np.random.default_rng(100)
+    mix = random_gaussian_mixture(rng, 100, 5)
+    weights = mix.weights * (rng.uniform(size=100) < 0.8)
+    mix = MixtureModel(weights, mix.components)
+    assert 0 < mix.active_indices().size < 100
+    points = mix.sample(rng, 700)
+    points[::7] += rng.uniform(-30.0, 30.0, (len(points[::7]), 5))
+    terms = np.array([
+        math.log(mix.weights[k])
+        + multivariate_normal(mix.components[k].mean, mix.components[k].cov).logpdf(points)
+        for k in mix.active_indices()
+    ])
+    top = terms.max(axis=0)
+    ref = top + np.log([math.fsum(column) for column in np.exp(terms - top).T])
+    got = mix.log_density(points)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])

@@ -70,3 +70,20 @@ def test_forward_substitute_reads_only_the_lower_triangle():
     rhs = rng.standard_normal((6, 2))
     assert np.array_equal(forward_substitute(filled, rhs), forward_substitute(chol, rhs))
     assert np.array_equal(forward_substitute(filled, rhs[:, 0]), forward_substitute(chol, rhs[:, 0]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 13])
+@pytest.mark.parametrize("stack", [1, 2, 9])
+def test_stacked_forward_substitution_equals_each_slice_bitwise(stack, dim):
+    # The KL matrix kernel solves a block of columns as one stack; a column's
+    # value must not depend on the block it falls in.
+    rng = np.random.default_rng([stack, dim])
+    chols = np.array([np.linalg.cholesky(cov_with_condition(rng, dim, 1e4))
+                      for _ in range(stack)])
+    rhs = rng.standard_normal((stack, dim, 20 * (dim + 1)))
+    stacked = forward_substitute(chols, rhs)
+    shared = forward_substitute(chols, rhs[:1])
+    assert stacked.shape == rhs.shape and shared.shape == rhs.shape
+    for k in range(stack):
+        assert np.array_equal(stacked[k], forward_substitute(chols[k], rhs[k]))
+        assert np.array_equal(shared[k], forward_substitute(chols[k], rhs[0]))
