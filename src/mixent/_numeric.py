@@ -74,14 +74,16 @@ def log_sum_exp_rows(log_weights, kernel) -> np.ndarray:
 
 
 def log_sum_exp_axis0(matrix: np.ndarray) -> np.ndarray:
-    """Vectorized log-sum-exp down the first axis of a 2-D array.
+    """Max-shifted log-sum-exp down the first axis of a 2-D float array.
 
-    Columns whose entries are all -inf map to -inf without warnings.
+    It works in place: the shifted exponentials overwrite ``matrix``, so a
+    caller that reuses one buffer allocates nothing of its size.  Columns
+    whose entries are all -inf map to -inf without warnings.
     """
-    matrix = np.asarray(matrix, dtype=float)
     m = matrix.max(axis=0)
     shift = np.where(np.isfinite(m), m, 0.0)
-    total = np.exp(matrix - shift).sum(axis=0)
+    matrix -= shift
+    total = np.exp(matrix, out=matrix).sum(axis=0)
     with np.errstate(divide="ignore"):
         return shift + np.log(total)
 

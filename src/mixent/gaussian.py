@@ -6,8 +6,10 @@ factor, all through ``_numeric.forward_substitute``, so the package needs
 NumPy alone.  No covariance matrix is ever inverted.  For density evaluation
 each component also keeps the inverse of its triangular factor, formed once
 at construction by one triangular solve.  A batch of points is laid out with
-the points on the last axis, so it costs one transposed copy, one
-subtraction, one (d, d) by (d, n) matrix product and a sum over d rows.
+the points on the last axis, and a mixture makes that transposed copy once
+for all its components; each component then costs one subtraction, one
+(d, d) by (d, n) matrix product and a sum over d rows, written into the
+caller's row.
 The KL matrix kernel solves a block of columns in one stacked triangular
 solve.  The other pairwise matrix kernels factor each pair's blended
 covariance in stacked blocks of pairs; the Bhattacharyya distance and the
@@ -96,25 +98,28 @@ class GaussianComponent:
     def log_density(self, x):
         """Log density at one point of shape (d,) or a batch of shape (n, d)."""
         pts, single = as_points(x, self.dim, "component")
-        out = self._log_density_block(pts)
+        out = np.empty(pts.shape[0])
+        self._log_density_cols(pts.T, out)
         return float(out[0]) if single else out
 
-    def _log_density_block(self, pts):
-        """Log density of an (n, d) float batch that ``as_points`` has checked.
+    def _log_density_cols(self, cols, out):
+        """Write into ``out`` (n,) the log density of the points in the columns
+        of ``cols`` (d, n), checked by ``as_points``.  ``cols`` is only read,
+        so a mixture passes every component one contiguous copy of a block;
+        a transposed view gives the same bits, because the difference from
+        the mean is formed in C order either way.
 
         The quadratic form is |L^-1 (x - mean)|^2, formed with the points on
         the last axis so that every elementwise pass runs along n, not d.
         The mean is subtracted before the product: expanding it as
         L^-1 x - L^-1 mean cancels badly for means far from the origin.
         """
-        # Copying the transpose first, then subtracting in place, is faster than
-        # one subtraction read through the transpose; the bits are the same.
-        delta = pts.T.copy()
-        delta -= self.mean[:, None]
-        z = self.inv_chol @ delta
+        z = self.inv_chol @ np.subtract(cols, self.mean[:, None], order="C")
         with np.errstate(over="ignore"):  # +inf is exact; see _mahalanobis_sq
-            quad = np.square(z, out=z).sum(axis=0)
-        return -0.5 * (quad + self.log_det + self.dim * _LOG_2PI)
+            np.square(z, out=z).sum(axis=0, out=out)
+        out += self.log_det
+        out += self.dim * _LOG_2PI
+        out *= -0.5
 
     def sample(self, rng, size=None):
         """Draw one vector (size=None) or a (size, d) batch using mean + L z."""
@@ -225,9 +230,10 @@ def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
 _BLOCK_FLOATS = 1 << 15
 
 
-def _stacked(comps):
-    return (np.array([c.mean for c in comps]), np.array([c.cov for c in comps]),
-            np.array([c.log_det for c in comps]))
+def _stacked(comps, *names):
+    """One array per named attribute, stacked over the components: only the
+    stacks a kernel reads are built and kept alive."""
+    return [np.array([getattr(c, name) for c in comps]) for name in names]
 
 
 def _quad_log_det(deltas: np.ndarray, covs: np.ndarray):
@@ -245,7 +251,7 @@ def _pair_terms(comps, rows, cols, w_row: float, w_col: float):
     its Cholesky factor: the one pair-block driver of the Chernoff and ELK
     kernels.  A pair's arithmetic does not depend on the block it falls in.
     """
-    means, covs, _ = _stacked(comps)
+    means, covs = _stacked(comps, "mean", "cov")
     step = max(1, _BLOCK_FLOATS // comps[0].dim ** 2)
     quad, log_det = np.empty(rows.size), np.empty(rows.size)
     for start in range(0, rows.size, step):
@@ -265,7 +271,7 @@ def gaussian_kl_matrix(comps) -> np.ndarray:
     once.  A column's arithmetic does not depend on the block it falls in.
     """
     n, d = len(comps), comps[0].dim
-    means, _, log_dets = _stacked(comps)
+    means, log_dets = _stacked(comps, "mean", "log_det")
     # Columns n + i d .. n + i d + d - 1 of solve j hold L_j^-1 L_i, whose
     # squared norm is the trace term.
     factors = np.concatenate([c.chol for c in comps], axis=1)
@@ -326,7 +332,7 @@ def gaussian_chernoff_matrix(comps, alpha: float) -> np.ndarray:
         return gaussian_half_matrices(comps)[0]
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     quad, log_det_mixed = _pair_terms(comps, rows, cols, 1.0 - alpha, alpha)
-    log_dets = _stacked(comps)[2]
+    (log_dets,) = _stacked(comps, "log_det")
     out[rows, cols] = 0.5 * alpha * (1.0 - alpha) * quad + 0.5 * (
         log_det_mixed - (1.0 - alpha) * log_dets[rows] - alpha * log_dets[cols]
     )

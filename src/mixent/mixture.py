@@ -90,9 +90,12 @@ class MixtureModel:
         Computed as a max-shifted log-sum-exp over ln c_k + ln p_k(x) with
         zero-weight components left out of the index set; a point outside
         every support maps to -inf.  The points are streamed in fixed
-        blocks, so memory is O(block (K + d)) for any batch size, and a
-        point's value does not depend on which batch it came in (batches of
-        two or more points).
+        blocks, and a point's value does not depend on which batch it came
+        in (batches of two or more points).  Each block is copied once with
+        the points on the last axis; every component reads that copy and
+        writes its row of one K x block buffer, which is reduced in place.
+        So memory is O(block (K + d)) for any batch size, and the buffer is
+        allocated once per call.
         """
         pts, single = as_points(x, self.dim, "mixture")
         active = self.active_indices()
@@ -105,11 +108,11 @@ class MixtureModel:
             # A lone last point joins the block before it: a one-point block
             # takes other BLAS and summation routes and rounds differently.
             stop = n if n - start <= _BLOCK + 1 else start + _BLOCK
-            block, buf = pts[start:stop], rows[:, : stop - start]
+            cols, buf = np.ascontiguousarray(pts[start:stop].T), rows[:, : stop - start]
             # The points were checked once above; each component skips its own check.
             for row, k in enumerate(active):
-                np.add(log_weights[row], self.components[k]._log_density_block(block),
-                       out=buf[row])
+                self.components[k]._log_density_cols(cols, buf[row])
+            buf += log_weights[:, None]
             out[start:stop] = log_sum_exp_axis0(buf)
             start = stop
         return float(out[0]) if single else out

@@ -53,13 +53,15 @@ class UniformBox:
     def log_density(self, x):
         """-log_volume inside the closed box, -inf outside; accepts (d,) or (n, d)."""
         pts, single = as_points(x, self.dim, "component")
-        out = self._log_density_block(pts)
+        out = np.empty(pts.shape[0])
+        self._log_density_cols(pts.T, out)
         return float(out[0]) if single else out
 
-    def _log_density_block(self, pts):
-        """Log density of an (n, d) float batch that ``as_points`` has checked."""
-        inside = np.all((pts >= self.lower) & (pts <= self.upper), axis=-1)
-        return np.where(inside, -self.log_volume, NEG_INF)
+    def _log_density_cols(self, cols, out):
+        """Write into ``out`` (n,) the log density of the points in the columns
+        of ``cols`` (d, n), checked by ``as_points``; ``cols`` is only read."""
+        inside = np.all((cols >= self.lower[:, None]) & (cols <= self.upper[:, None]), axis=0)
+        out[...] = np.where(inside, -self.log_volume, NEG_INF)
 
     def sample(self, rng, size=None):
         n = 1 if size is None else int(size)

@@ -167,6 +167,47 @@ def test_log_density_does_not_depend_on_the_block_split(family, dim):
         assert math.isclose(mix.log_density(points[i]), full[i], rel_tol=1e-14, abs_tol=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_log_density_is_bitwise_the_per_component_sum(family, n):
+    # Every component reads one shared copy of each block and writes its row
+    # in place.  The reference is the route that copies nothing: each active
+    # component's public log_density plus ln c_k, then an out-of-place
+    # max-shifted sum of exponentials.  2 * block + 1 points end in a lone
+    # point, which joins the block before it.
+    rng = np.random.default_rng([n, len(family)])
+    mix = random_mixture(rng, 5, 3, family)
+    mix = MixtureModel(np.insert(mix.weights[1:], 2, 0.0), mix.components)
+    points = mix.sample(rng, n)
+    points[::3] += rng.uniform(-6.0, 6.0, (len(points[::3]), 3))
+    before = points.copy()
+    active = mix.active_indices()
+    assert active.size == 4
+    log_weights = np.log(mix.weights[active])
+    terms = np.array([
+        log_weights[row] + mix.components[k].log_density(points)
+        for row, k in enumerate(active)
+    ])
+    top = terms.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        ref = shift + np.log(np.exp(terms - shift).sum(axis=0))
+    assert np.array_equal(mix.log_density(points), ref)
+    assert np.array_equal(points, before)
+
+
+@pytest.mark.parametrize("dim", [1, 5, 60])
+def test_component_log_density_is_bitwise_its_one_component_mixture(dim):
+    # A component alone reads a transposed view of its points, a mixture
+    # passes a contiguous copy; the difference from the mean is formed in C
+    # order either way, so the two routes give the same bits.
+    rng = np.random.default_rng(dim)
+    comp = random_gaussian_mixture(rng, 1, dim).components[0]
+    points = comp.sample(rng, 100)
+    for pts in (points[:7], points):
+        assert np.array_equal(MixtureModel([1.0], [comp]).log_density(pts), comp.log_density(pts))
+
+
 def test_gaussian_log_density_matches_scipy_with_an_fsum_log_sum_exp():
     # An independent reference: scipy's logpdf per component, combined with a
     # max-shifted, exactly summed log-sum-exp over the positive weights.

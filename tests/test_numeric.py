@@ -2,16 +2,18 @@
 
 Every Gaussian kernel and scalar closed form solves through
 ``forward_substitute``, so the kernel-versus-scalar checks elsewhere share it
-on both sides; this file is where the solve itself is arbitrated.
+on both sides; this file is where the solve itself is arbitrated.  The
+in-place log-sum-exp of the mixture log-density is checked here too.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from mixent._numeric import forward_substitute
+from mixent._numeric import forward_substitute, log_sum_exp_axis0
 from support import cov_with_condition
 
 
@@ -87,3 +89,25 @@ def test_stacked_forward_substitution_equals_each_slice_bitwise(stack, dim):
     for k in range(stack):
         assert np.array_equal(stacked[k], forward_substitute(chols[k], rhs[k]))
         assert np.array_equal(shared[k], forward_substitute(chols[k], rhs[0]))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 100])
+def test_log_sum_exp_axis0_in_place_equals_the_out_of_place_formula_bitwise(rows):
+    rng = np.random.default_rng(rows)
+    matrix = rng.uniform(-800.0, 50.0, (rows, 301))
+    matrix[rng.uniform(size=matrix.shape) < 0.3] = -np.inf
+    matrix[:, 17] = -np.inf
+    original = matrix.copy()
+    # The out-of-place formula it replaces.
+    top = original.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        expected = shift + np.log(np.exp(original - shift).sum(axis=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_sum_exp_axis0(matrix)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.isneginf(got), np.isneginf(original).all(axis=0))
+    assert got[17] == -np.inf and np.isfinite(got).sum() > 150
+    # The argument is overwritten with the shifted exponentials.
+    assert np.array_equal(matrix, np.exp(original - shift))
