@@ -51,26 +51,16 @@ def forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def log_sum_exp(terms) -> float:
-    """Max-shifted log-sum-exp of a 1-D array that may contain -inf entries.
-
-    The shifted exponentials are combined with math.fsum, so the result does
-    not depend on the order of the terms.  An all-(-inf) input yields -inf,
-    matching the convention that exp(-inf) contributes exactly zero.
+def log_sum_exp_rows(matrix: np.ndarray) -> np.ndarray:
+    """Max-shifted log-sum-exp along each row of a 2-D float array, in place
+    like :func:`log_sum_exp_axis0`.  One math.fsum per row makes a row's result
+    independent of the order of its entries; an all-(-inf) row maps to -inf.
     """
-    arr = np.asarray(terms, dtype=float)
-    if arr.size == 0:
-        return NEG_INF
-    m = float(arr.max())
-    if m == NEG_INF:
-        return NEG_INF
-    total = math.fsum(np.exp(arr - m).tolist())
-    return m + math.log(total)
-
-
-def log_sum_exp_rows(log_weights, kernel) -> np.ndarray:
-    """Row i holds ln sum_j exp(log_weights[j] + kernel[i, j]), via log_sum_exp."""
-    return np.array([log_sum_exp(log_weights + row) for row in kernel])
+    m = matrix.max(axis=1)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    matrix -= shift[:, None]
+    totals = [math.fsum(row.tolist()) for row in np.exp(matrix, out=matrix)]
+    return np.array([s + math.log(t) if t else NEG_INF for s, t in zip(shift.tolist(), totals)])
 
 
 def log_sum_exp_axis0(matrix: np.ndarray) -> np.ndarray:

@@ -75,12 +75,12 @@ def _estimate_from_matrix(mixture: MixtureModel, dmat: np.ndarray) -> float:
     the floor-and-ceiling bracket exact in floating point as well, and makes
     an all-zero matrix (Chernoff orders 0 and 1) give exactly the floor.
     """
-    weights = mixture.weights
     active = mixture.active_indices()
+    weights = mixture.weights[active]
     dists = dmat[np.ix_(active, active)]
-    inner = log_sum_exp_rows(np.log(weights[active]), -dists)
+    inner = log_sum_exp_rows(np.log(weights) - dists)
     inner[~dists.any(axis=1)] = 0.0
-    return mixture.conditional_entropy() - fsum(weights[active] * np.minimum(inner, 0.0))
+    return mixture.conditional_entropy() - fsum(weights * np.minimum(inner, 0.0))
 
 
 def pairwise_estimate(mixture: MixtureModel, kind: DistanceKind) -> float:
@@ -114,10 +114,9 @@ def kde_estimate(mixture: MixtureModel) -> float:
 
 def _elk_from_matrix(mixture: MixtureModel, log_cross: np.ndarray) -> float:
     """The ELK baseline for a prebuilt matrix of ln int p_i p_j."""
-    weights = mixture.weights
     active = mixture.active_indices()
-    cross = log_cross[np.ix_(active, active)]
-    return -fsum(weights[active] * log_sum_exp_rows(np.log(weights[active]), cross))
+    weights = mixture.weights[active]
+    return -fsum(weights * log_sum_exp_rows(np.log(weights) + log_cross[np.ix_(active, active)]))
 
 
 def elk_estimate(mixture: MixtureModel) -> float:

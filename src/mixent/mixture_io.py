@@ -25,6 +25,15 @@ from .mixture import MixtureModel
 from .uniform import UniformBox
 
 
+def _numbers(value):
+    """``value``, or a TypeError if a JSON true or false (NumPy's 1 and 0) is in it."""
+    if isinstance(value, bool):
+        raise TypeError("JSON booleans are not numbers")
+    for item in value if isinstance(value, list) else ():
+        _numbers(item)
+    return value
+
+
 def parse_mixture(data: dict) -> MixtureModel:
     """Build a MixtureModel from a parsed mixture definition.
 
@@ -33,12 +42,12 @@ def parse_mixture(data: dict) -> MixtureModel:
     """
     try:
         family = data["family"]
-        weights = data["weights"]
+        weights = _numbers(data["weights"])
         entries = data["components"]
         if family == "gaussian":
-            comps = [GaussianComponent(c["mean"], c["cov"]) for c in entries]
+            comps = [GaussianComponent(_numbers(c["mean"]), _numbers(c["cov"])) for c in entries]
         elif family == "uniform":
-            comps = [UniformBox(c["lower"], c["upper"]) for c in entries]
+            comps = [UniformBox(_numbers(c["lower"]), _numbers(c["upper"])) for c in entries]
         else:
             raise MixtureError(f"unknown family {family!r}, expected 'gaussian' or 'uniform'")
         return MixtureModel(weights, comps)
@@ -70,7 +79,7 @@ def load_noise_cov(path) -> np.ndarray:
     """Read a noise covariance from JSON: a bare matrix or an object with a 'cov' entry."""
     data = _read_json(path)
     try:
-        cov = data["cov"] if isinstance(data, dict) else data
+        cov = _numbers(data["cov"] if isinstance(data, dict) else data)
         return np.atleast_2d(np.asarray(cov, dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise MixtureError(f"malformed noise definition: {exc}") from None

@@ -126,8 +126,11 @@ def test_estimate_malformed_json_is_a_runtime_error(tmp_path, capsys):
         {**SINGLE_GAUSSIAN, "weights": [math.inf]},
         {**TWO_BOXES, "components": [{"lower": [0.0], "upper": [math.inf]}] * 2},
         {**TWO_BOXES, "components": [{"lower": [], "upper": []}] * 2},
+        {"family": "gaussian", "weights": [True, True],
+         "components": [{"mean": [False], "cov": [[True]]}, {"mean": [True], "cov": [[True]]}]},
     ],
-    ids=["text-weights", "text-cov", "nan-mean", "inf-weight", "inf-bound", "empty-box"],
+    ids=["text-weights", "text-cov", "nan-mean", "inf-weight", "inf-bound", "empty-box",
+         "json-booleans"],
 )
 def test_estimate_bad_numbers_are_one_line_errors(tmp_path, capsys, doc):
     spec = write_json(tmp_path, "bad.json", doc)
@@ -298,6 +301,10 @@ def test_mi_malformed_noise_is_a_runtime_error(tmp_path, capsys):
     noise.write_text(json.dumps({"scale": 2.0}))
     assert main(["mi", "--spec", spec, "--noise", str(noise)]) == 1
     assert "error:" in capsys.readouterr().err
+    noise.write_text(json.dumps({"cov": [[True]]}))
+    assert main(["mi", "--spec", spec, "--noise", str(noise)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "booleans" in err
 
 
 def test_estimate_overflowing_distances_are_infinite_without_warnings(tmp_path):

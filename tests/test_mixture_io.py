@@ -110,6 +110,10 @@ def test_load_noise_cov_rejects_malformed(tmp_path):
     path.write_text(json.dumps([[1.0, 0.0], [0.0]]))
     with pytest.raises(MixtureError):
         load_noise_cov(path)
+    for cov in ({"cov": [[True]]}, [[2.0, False], [False, 1.0]], True):
+        path.write_text(json.dumps(cov))
+        with pytest.raises(MixtureError, match="booleans"):
+            load_noise_cov(path)
 
 
 def test_non_numeric_entries_become_mixture_errors():
@@ -119,6 +123,19 @@ def test_non_numeric_entries_become_mixture_errors():
     bad_cov = [{"mean": [0.0], "cov": [["x"]]}, {"mean": [2.0], "cov": [[1.0]]}]
     with pytest.raises(MixtureError, match="malformed"):
         parse_mixture({**GAUSSIAN_DOC, "components": bad_cov})
+    # JSON booleans would pass np.asarray as 1.0 and 0.0.
+    two = GAUSSIAN_DOC["components"]
+    boxes = UNIFORM_DOC["components"]
+    for doc in (
+        {**GAUSSIAN_DOC, "weights": [True, True]},
+        {**GAUSSIAN_DOC, "weights": [0.5, False]},
+        {**GAUSSIAN_DOC, "components": [{"mean": [False], "cov": [[1.0]]}, two[1]]},
+        {**GAUSSIAN_DOC, "components": [two[0], {"mean": [2.0], "cov": [[True]]}]},
+        {**UNIFORM_DOC, "components": [{"lower": [0.0, False], "upper": [1.0, 1.0]}, boxes[1]]},
+        {**UNIFORM_DOC, "components": [boxes[0], {"lower": [0.5, 0.5], "upper": [True, 2.0]}]},
+    ):
+        with pytest.raises(MixtureError, match="malformed.*booleans"):
+            parse_mixture(doc)
 
 
 def test_constructor_errors_keep_their_own_type():

@@ -3,7 +3,8 @@
 Every Gaussian kernel and scalar closed form solves through
 ``forward_substitute``, so the kernel-versus-scalar checks elsewhere share it
 on both sides; this file is where the solve itself is arbitrated.  The
-in-place log-sum-exp of the mixture log-density is checked here too.
+in-place log-sum-exps of the mixture log-density and of the estimators are
+checked here too.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from mixent._numeric import forward_substitute, log_sum_exp_axis0
+from mixent._numeric import forward_substitute, log_sum_exp_axis0, log_sum_exp_rows
 from support import cov_with_condition
 
 
@@ -111,3 +112,28 @@ def test_log_sum_exp_axis0_in_place_equals_the_out_of_place_formula_bitwise(rows
     assert got[17] == -np.inf and np.isfinite(got).sum() > 150
     # The argument is overwritten with the shifted exponentials.
     assert np.array_equal(matrix, np.exp(original - shift))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 100])
+def test_log_sum_exp_rows_equals_a_per_row_fsum_reference_bitwise(rows):
+    rng = np.random.default_rng([rows, 2])
+    matrix = rng.uniform(-800.0, 50.0, (rows, 301))
+    matrix[rng.uniform(size=matrix.shape) < 0.3] = -np.inf
+    matrix[rows // 2] = -np.inf
+    original = matrix.copy()
+    expected, shifted = [], []
+    for row in original:
+        top = row.max()
+        if top == -np.inf:
+            expected.append(-np.inf)
+            shifted.append(np.zeros_like(row))
+            continue
+        shifted.append(np.exp(row - top))
+        expected.append(top + math.log(math.fsum(shifted[-1].tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_sum_exp_rows(matrix)
+    assert np.array_equal(got, expected)
+    assert got[rows // 2] == -np.inf and np.isfinite(got).sum() == rows - 1
+    # The argument is overwritten with the shifted exponentials.
+    assert np.array_equal(matrix, shifted)

@@ -2,6 +2,7 @@
 
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 import mixent
@@ -76,6 +77,36 @@ def test_public_names_are_unique_and_resolve():
     namespace = {}
     exec("from mixent import *", namespace)
     assert set(mixent.__all__) <= set(namespace)
+
+
+def test_every_module_level_definition_is_used_or_public():
+    # A helper that loses its last caller must go with it: every module-level
+    # function or class is named somewhere outside its own body, or exported.
+    def references(node):  # loaded bare names and attribute names, with counts
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        )
+
+    sources = sorted(Path(mixent.__file__).parent.glob("*.py"))
+    assert any(path.name == "_numeric.py" for path in sources)
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    total = sum((references(tree) for tree in trees.values()), Counter())
+    definitions = [
+        (name, node)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert len(definitions) > 100
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in definitions
+        if node.name not in mixent.__all__ and total[node.name] == references(node)[node.name]
+    ]
+    assert not found, f"module-level definitions nothing uses or exports: {found}"
 
 
 def test_family_modules_refuse_no_distance():
