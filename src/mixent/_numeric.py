@@ -1,5 +1,5 @@
 """Shared numeric helpers: order-stable summation, careful log-sum-exp and
-the package's one triangular solve."""
+the package's one triangular solve, on stacked vectors."""
 
 from __future__ import annotations
 
@@ -31,23 +31,16 @@ def as_points(x, dim: int, owner: str):
 
 
 def forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X with chol @ X = rhs, for lower-triangular chol of shape (..., d, d).
+    """x with chol @ x = rhs, for lower-triangular chol of shape (..., d, d)
+    and vectors rhs of shape (..., d); leading axes broadcast.
 
-    ``rhs`` is a stack of vectors (..., d) when it has one axis fewer than
-    ``chol``, otherwise a stack of matrices (..., d, m); leading axes
-    broadcast.  Row k of X is (rhs_k - chol[k, :k] X[:k]) / chol[k, k], one
-    row per step over the whole stack.
+    Entry k of x is (rhs_k - chol[k, :k] x[:k]) / chol[k, k], one entry per
+    step over the whole stack.  A matrix right-hand side is solved as the
+    stack of its columns, passed as rows.
     """
-    d = chol.shape[-1]
-    if rhs.ndim == chol.ndim - 1:
-        x = np.empty(np.broadcast_shapes(chol.shape[:-1], rhs.shape))
-        for k in range(d):
-            x[..., k] = (rhs[..., k] - np.vecdot(chol[..., k, :k], x[..., :k])) / chol[..., k, k]
-        return x
-    x = np.empty(np.broadcast_shapes(chol.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:])
-    for k in range(d):
-        dot = (chol[..., k : k + 1, :k] @ x[..., :k, :])[..., 0, :]
-        x[..., k, :] = (rhs[..., k, :] - dot) / chol[..., k, k, None]
+    x = np.empty(np.broadcast_shapes(chol.shape[:-1], rhs.shape))
+    for k in range(chol.shape[-1]):
+        x[..., k] = (rhs[..., k] - np.vecdot(chol[..., k, :k], x[..., :k])) / chol[..., k, k]
     return x
 
 

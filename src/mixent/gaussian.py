@@ -1,22 +1,20 @@
 """Gaussian mixture components with closed-form entropy and divergences.
 
-Everything here works through Cholesky factors: determinants come from the
-factor diagonal and quadratic forms from triangular solves against the
-factor, all through ``_numeric.forward_substitute``, so the package needs
-NumPy alone.  No covariance matrix is ever inverted.  For density evaluation
-each component also keeps the inverse of its triangular factor, formed once
-at construction by one triangular solve.  A batch of points is laid out with
-the points on the last axis, and a mixture makes that transposed copy once
-for all its components; each component then costs one subtraction, one
-(d, d) by (d, n) matrix product and a sum over d rows, written into the
-caller's row.
-The KL matrix kernel solves a block of columns in one stacked triangular
-solve.  The other pairwise matrix kernels factor each pair's blended
-covariance in stacked blocks of pairs; the Bhattacharyya distance and the
-ELK log cross-term share one factorization of cov_i + cov_j per unordered
-pair.  A squared norm that overflows is left at +inf without a warning: it
-is the exact distance of components whose means are too far apart to
-represent.
+Everything here works through Cholesky factors, so the package needs NumPy
+alone and no covariance matrix is ever inverted.  Each component keeps L^-1
+for its own factor L, formed once by forward substitution, and applies L
+only through it: in the log-density and in the KL matrix kernel, which
+multiplies a block of columns' L_j^-1 by every mean difference and every
+factor at once.  A batch of points is laid out with the points on the last
+axis, and a mixture makes that transposed copy once for all its components;
+each component then costs one subtraction, one (d, d) by (d, n) matrix
+product and a sum over d rows, written into the caller's row.
+The other pairwise matrix kernels factor each pair's blended covariance in
+stacked blocks of pairs and forward-substitute against the fresh factors;
+the Bhattacharyya distance and the ELK log cross-term share one
+factorization of cov_i + cov_j per unordered pair.  A squared norm that
+overflows is left at +inf without a warning: it is the exact distance of
+components whose means are too far apart to represent.
 """
 
 from __future__ import annotations
@@ -50,10 +48,10 @@ class GaussianComponent:
 
     The lower-triangular Cholesky factor L is computed once and reused by
     every downstream operation; ``inv_chol`` holds L^-1, used by
-    ``log_density``.  The estimators reach the family's pairwise
-    matrix kernels below through the ``kl_matrix``, ``chernoff_matrix`` and
-    ``half_matrices`` classmethods; ``half_matrices`` returns the
-    Bhattacharyya and ELK matrices of one order-1/2 pass.
+    ``log_density`` and ``kl_matrix``.  The estimators reach the family's
+    pairwise matrix kernels below through the ``kl_matrix``,
+    ``chernoff_matrix`` and ``half_matrices`` classmethods; ``half_matrices``
+    returns the Bhattacharyya and ELK matrices of one order-1/2 pass.
     """
 
     __slots__ = ("mean", "cov", "chol", "inv_chol", "log_det")
@@ -82,9 +80,9 @@ class GaussianComponent:
         self.mean = mean
         self.cov = cov
         self.chol = chol
-        # The left operand of the block product in log_density.  Its memory
-        # order does not change the product's speed or its bits.
-        self.inv_chol = forward_substitute(chol, np.eye(mean.size))
+        # Row m of the solve is column m of L^-1.  Its memory order does not
+        # change the speed or the bits of the log-density and KL products.
+        self.inv_chol = forward_substitute(chol, np.eye(mean.size)).T
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
 
     @property
@@ -164,7 +162,7 @@ def gaussian_kl(a: GaussianComponent, b: GaussianComponent) -> float:
     """Kullback-Leibler divergence KL(a || b) in nats; zero iff a equals b."""
     _check_pair(a, b)
     quad = float(_mahalanobis_sq(b.chol, a.mean - b.mean))
-    y = forward_substitute(b.chol, a.chol)
+    y = forward_substitute(b.chol, a.chol.T)  # the columns of a.chol, as rows
     trace = float(np.sum(y * y))
     value = 0.5 * (b.log_det - a.log_det + quad + trace - a.dim)
     # The divergence is non-negative; tiny negatives are rounding residue.
@@ -266,26 +264,24 @@ def _pair_terms(comps, rows, cols, w_row: float, w_col: float):
 def gaussian_kl_matrix(comps) -> np.ndarray:
     """KL(comps[i] || comps[j]) for every pair, with an exactly zero diagonal.
 
-    Each block of columns j is one stacked triangular solve: L_j against
-    every mean difference mean_i - mean_j and every Cholesky factor L_i at
-    once.  A column's arithmetic does not depend on the block it falls in.
+    Each block of columns j applies the stored L_j^-1 in two stacked
+    products: one with every mean difference mean_i - mean_j, and one with
+    every Cholesky factor L_i side by side, whose squared norm is the trace
+    term.  A column's arithmetic does not depend on the block it falls in.
     """
     n, d = len(comps), comps[0].dim
     means, log_dets = _stacked(comps, "mean", "log_det")
-    # Columns n + i d .. n + i d + d - 1 of solve j hold L_j^-1 L_i, whose
-    # squared norm is the trace term.
     factors = np.concatenate([c.chol for c in comps], axis=1)
     step = max(1, _BLOCK_FLOATS // (d * n * (d + 1)))
     out = np.empty((n, n))
     for start in range(0, n, step):
         js = slice(start, start + step)
-        deltas = (means - means[js, None]).transpose(0, 2, 1)
-        rhs = np.concatenate([deltas, np.broadcast_to(factors, (len(deltas), d, n * d))], axis=2)
-        solved = forward_substitute(np.array([c.chol for c in comps[js]]), rhs)
+        inv = np.array([c.inv_chol for c in comps[js]])
+        z = inv @ (means - means[js, None]).transpose(0, 2, 1)
+        a = inv @ factors
         with np.errstate(over="ignore"):  # +inf is exact here too; see _mahalanobis_sq
-            squares = solved * solved
-        quad = squares[..., :n].sum(axis=1)
-        trace = squares[..., n:].sum(axis=1).reshape(-1, n, d).sum(axis=2)
+            quad = np.square(z, out=z).sum(axis=1)
+            trace = np.square(a, out=a).sum(axis=1).reshape(-1, n, d).sum(axis=2)
         out[:, js] = (0.5 * (log_dets[js, None] - log_dets + quad + trace - d)).T
     np.fill_diagonal(out, 0.0)
     return np.maximum(out, 0.0)
@@ -297,11 +293,12 @@ def gaussian_half_matrices(comps):
 
     With q = |L^-1 (mean_i - mean_j)|^2 for the factor L of S_ij, the ELK
     log cross-term is -(q + ln|S_ij| + d ln 2 pi) / 2 and the distance is
-    q / 4 + (ln|S_ij| - ln|S_ii| / 2 - ln|S_jj| / 2) / 2.  The diagonal pairs'
+    q / 4 + (ln|S_ij| - (ln|S_ii| + ln|S_jj|) / 2) / 2.  The diagonal pairs'
     own ln|S_ii| stand in for ln|cov_i| + d ln 2, so the d ln 2 terms cancel
-    exactly and bitwise-identical components are exactly zero apart.  Both
-    matrices are symmetric; the distance has a zero diagonal and is clamped
-    at zero.
+    exactly and bitwise-identical components are exactly zero apart.  The
+    self terms are summed, which commutes, so an entry does not depend on
+    the order of its pair.  Both matrices are symmetric; the distance has a
+    zero diagonal and is clamped at zero.
     """
     n, d = len(comps), comps[0].dim
     rows, cols = np.triu_indices(n)
@@ -309,7 +306,7 @@ def gaussian_half_matrices(comps):
     self_log_det = log_det[rows == cols]
     bd, elk = np.empty((n, n)), np.empty((n, n))
     bd[rows, cols] = bd[cols, rows] = 0.25 * quad + 0.5 * (
-        log_det - 0.5 * self_log_det[rows] - 0.5 * self_log_det[cols]
+        log_det - 0.5 * (self_log_det[rows] + self_log_det[cols])
     )
     elk[rows, cols] = elk[cols, rows] = -0.5 * (quad + log_det + d * _LOG_2PI)
     np.fill_diagonal(bd, 0.0)

@@ -38,7 +38,8 @@ def parse_mixture(data: dict) -> MixtureModel:
     """Build a MixtureModel from a parsed mixture definition.
 
     Constructor errors keep their own MixtureError subclass; malformed
-    structure or non-numeric entries raise a plain MixtureError.
+    structure, non-numeric entries or nesting too deep to walk raise a plain
+    MixtureError.
     """
     try:
         family = data["family"]
@@ -53,18 +54,21 @@ def parse_mixture(data: dict) -> MixtureModel:
         return MixtureModel(weights, comps)
     except MixtureError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise MixtureError(f"malformed mixture definition: {exc}") from None
 
 
 def _read_json(path):
-    """Parse a UTF-8 JSON file; undecodable bytes and bad JSON are MixtureErrors."""
+    """Parse a UTF-8 JSON file; undecodable bytes, bad JSON and nesting too
+    deep for the parser are MixtureErrors."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise MixtureError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MixtureError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MixtureError(f"{path} is nested too deeply to parse") from None
 
 
 def load_mixture(path) -> MixtureModel:
@@ -81,5 +85,5 @@ def load_noise_cov(path) -> np.ndarray:
     try:
         cov = _numbers(data["cov"] if isinstance(data, dict) else data)
         return np.atleast_2d(np.asarray(cov, dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise MixtureError(f"malformed noise definition: {exc}") from None

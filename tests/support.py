@@ -21,6 +21,11 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
+def nested(depth: int) -> str:
+    """JSON text of 1.0 inside ``depth`` arrays: too deep for a recursive walk."""
+    return "[" * depth + "1.0" + "]" * depth
+
+
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     """A well-conditioned random symmetric positive-definite matrix."""
     basis = rng.standard_normal((dim, dim))

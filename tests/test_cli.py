@@ -21,7 +21,7 @@ from mixent import (
     read_csv,
 )
 from mixent.cli import main
-from support import run_python
+from support import nested, run_python
 
 SINGLE_GAUSSIAN = {
     "family": "gaussian",
@@ -115,6 +115,13 @@ def test_estimate_malformed_json_is_a_runtime_error(tmp_path, capsys):
     path.write_text("{oops")
     assert main(["estimate", "--spec", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+    components = json.dumps(SINGLE_GAUSSIAN["components"])
+    for depth in (990, 3000):
+        path.write_text(f'{{"family": "gaussian", "weights": {nested(depth)}, '
+                        f'"components": {components}}}')
+        assert main(["estimate", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -305,6 +312,10 @@ def test_mi_malformed_noise_is_a_runtime_error(tmp_path, capsys):
     assert main(["mi", "--spec", spec, "--noise", str(noise)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "booleans" in err
+    noise.write_text(f'{{"cov": {nested(3000)}}}')
+    assert main(["mi", "--spec", spec, "--noise", str(noise)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_estimate_overflowing_distances_are_infinite_without_warnings(tmp_path):

@@ -449,10 +449,8 @@ def test_estimate_all_report_fields_and_ordering():
 # Every bracket field reduces its rows with one math.fsum each, so reordering
 # the components must leave its bits alone.  h_kde is left out: the mixture
 # log-density sums its components with NumPy, which can move it by an ulp.
-# The Gaussian h_bd is left out too: its matrix entries depend on the order
-# of each pair (see the strict xfail below).
 PERMUTATION_FIELDS = {
-    "gaussian": ("h_kl", "h_elk", "h_cond", "h_joint"),
+    "gaussian": ("h_bd", "h_kl", "h_elk", "h_cond", "h_joint"),
     "uniform": ("h_bd", "h_kl", "h_elk", "h_cond", "h_joint"),
 }
 
@@ -474,10 +472,9 @@ def test_estimate_all_bracket_fields_do_not_depend_on_component_order(family, se
         assert getattr(permuted, field) == getattr(report, field), field
 
 
-@pytest.mark.xfail(strict=True, reason="the Gaussian BD entry depends on the pair's order")
 def test_gaussian_bd_matrix_does_not_depend_on_component_order():
-    # gaussian_half_matrices forms ln|S_ij| - ln|S_ii|/2 - ln|S_jj|/2 for i <= j
-    # only, and the two subtractions do not commute in floating point.
+    # gaussian_half_matrices forms each entry for i <= j only, so the self
+    # terms ln|S_ii| and ln|S_jj| must enter in an order-free way.
     comps = random_gaussian_mixture(np.random.default_rng(3), 40, 3).components
     reversed_bd = pairwise_distance_matrix(MixtureModel(np.ones(40), comps[::-1]), BHATTACHARYYA)
     bd = pairwise_distance_matrix(MixtureModel(np.ones(40), comps), BHATTACHARYYA)

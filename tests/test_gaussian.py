@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
+import mixent.gaussian
 from mixent import (
     AlphaOutOfRange,
     DimensionMismatch,
@@ -355,3 +356,60 @@ def test_shared_path_brackets_run_in_the_right_order():
     upper = upper_bound_kl(mix)
     assert mix.conditional_entropy() - 1e-12 <= lower <= upper
     assert upper <= mix.joint_entropy_upper() + 1e-12
+
+
+def test_kl_matrix_applies_the_stored_inverse_factors(monkeypatch):
+    # A component's own factor reaches the KL kernel only through inv_chol;
+    # forward substitution is left to fresh factors and the scalar reference.
+    rng = np.random.default_rng(5)
+    comps = [GaussianComponent(rng.standard_normal(4), random_spd(rng, 4)) for _ in range(6)]
+
+    def refuse(*args):
+        raise AssertionError("the KL kernel forward-substituted")
+
+    monkeypatch.setattr(mixent.gaussian, "forward_substitute", refuse)
+    kl = GaussianComponent.kl_matrix(comps)
+    monkeypatch.undo()
+    ref = np.array([[gaussian_kl(a, b) for b in comps] for a in comps])
+    np.testing.assert_allclose(kl, ref, rtol=1e-12, atol=0.0)
+
+
+def _longdouble_cholesky(cov):
+    factor = np.zeros(cov.shape, dtype=np.longdouble)
+    cov = cov.astype(np.longdouble)
+    for j in range(len(cov)):
+        factor[j, j] = np.sqrt(cov[j, j] - (factor[j, :j] ** 2).sum())
+        for i in range(j + 1, len(cov)):
+            factor[i, j] = (cov[i, j] - (factor[i, :j] * factor[j, :j]).sum()) / factor[j, j]
+    return factor
+
+
+def _longdouble_kl(a, b):
+    """KL(a || b) in extended precision from the components' float64 inputs."""
+    chol_a, chol_b = _longdouble_cholesky(a.cov), _longdouble_cholesky(b.cov)
+    rhs = np.column_stack([a.mean.astype(np.longdouble) - b.mean, chol_a])
+    for k in range(len(rhs)):
+        rhs[k] = (rhs[k] - (chol_b[k, :k, None] * rhs[:k]).sum(axis=0)) / chol_b[k, k]
+    log_dets = [2.0 * np.log(np.diagonal(chol)).sum() for chol in (chol_a, chol_b)]
+    return 0.5 * (log_dets[1] - log_dets[0] + (rhs * rhs).sum() - len(rhs))
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e6])
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_kl_matrix_is_accurate_on_near_copies(dim, cond):
+    # cov2 = F cov F^T with F = I + eps G: the KL terms nearly cancel, so the
+    # entries are compared in absolute terms.  At condition numbers near the
+    # package's limit the float64 inputs alone leave errors of ~1e-7.
+    rng = np.random.default_rng([dim, int(math.log10(cond))])
+    for eps in np.logspace(-16.0, -6.0, 11):
+        cov, mean = cov_with_condition(rng, dim, cond), rng.standard_normal(dim)
+        twist = np.eye(dim) + eps * rng.standard_normal((dim, dim))
+        near = twist @ cov @ twist.T
+        comps = [
+            GaussianComponent(mean, cov),
+            GaussianComponent(mean + eps * rng.standard_normal(dim), 0.5 * (near + near.T)),
+        ]
+        kl = GaussianComponent.kl_matrix(comps)
+        for i, j in ((0, 1), (1, 0)):
+            ref = max(_longdouble_kl(comps[i], comps[j]), 0.0)
+            assert abs(kl[i, j] - ref) <= 1e-13

@@ -15,6 +15,7 @@ from mixent import (
     load_noise_cov,
     parse_mixture,
 )
+from support import nested
 
 GAUSSIAN_DOC = {
     "family": "gaussian",
@@ -79,6 +80,12 @@ def test_load_mixture_rejects_bad_json(tmp_path):
     array.write_text("[1, 2, 3]")
     with pytest.raises(MixtureError):
         load_mixture(array)
+    components = json.dumps(GAUSSIAN_DOC["components"])
+    for depth in (990, 3000):
+        path.write_text(f'{{"family": "gaussian", "weights": {nested(depth)}, '
+                        f'"components": {components}}}')
+        with pytest.raises(MixtureError):
+            load_mixture(path)
 
 
 def test_load_mixture_missing_file(tmp_path):
@@ -114,6 +121,9 @@ def test_load_noise_cov_rejects_malformed(tmp_path):
         path.write_text(json.dumps(cov))
         with pytest.raises(MixtureError, match="booleans"):
             load_noise_cov(path)
+    path.write_text(f'{{"cov": {nested(3000)}}}')
+    with pytest.raises(MixtureError):
+        load_noise_cov(path)
 
 
 def test_non_numeric_entries_become_mixture_errors():
@@ -136,6 +146,12 @@ def test_non_numeric_entries_become_mixture_errors():
     ):
         with pytest.raises(MixtureError, match="malformed.*booleans"):
             parse_mixture(doc)
+    # Nesting deeper than the interpreter's recursion limit.
+    weights = [1.0]
+    for _ in range(3000):
+        weights = [weights]
+    with pytest.raises(MixtureError, match="malformed"):
+        parse_mixture({**GAUSSIAN_DOC, "weights": weights})
 
 
 def test_constructor_errors_keep_their_own_type():

@@ -1,10 +1,12 @@
 """The package's one triangular solve, checked against independent references.
 
-Every Gaussian kernel and scalar closed form solves through
-``forward_substitute``, so the kernel-versus-scalar checks elsewhere share it
-on both sides; this file is where the solve itself is arbitrated.  The
-in-place log-sum-exps of the mixture log-density and of the estimators are
-checked here too.
+``forward_substitute`` solves stacked vectors only; a matrix is solved as the
+stack of its columns.  Construction forms each component's inverse factor
+with it, and the pair-block driver and the scalar closed forms solve through
+it.  The KL matrix kernel multiplies by the stored inverse factors instead,
+so its check against the scalar ``gaussian_kl`` compares two routes; this file
+is where the solve itself is arbitrated.  The in-place log-sum-exps of the
+mixture log-density and of the estimators are checked here too.
 """
 
 import math
@@ -19,77 +21,81 @@ from support import cov_with_condition
 
 
 def _longdouble_substitution(chol, rhs):
-    """Row-by-row forward substitution in extended precision, for 2-D rhs."""
+    """Row-by-row forward substitution of one vector in extended precision."""
     chol = chol.astype(np.longdouble)
     x = rhs.astype(np.longdouble)
     for k in range(chol.shape[0]):
-        x[k] = (x[k] - (chol[k, :k, None] * x[:k]).sum(axis=0)) / chol[k, k]
+        x[k] = (x[k] - (chol[k, :k] * x[:k]).sum()) / chol[k, k]
     return x
 
 
 def _relative_error(got, ref) -> float:
-    # Normwise per solution vector: its largest error over its largest entry.
-    err = np.abs(got.astype(np.longdouble) - ref).max(axis=0)
-    return float(np.max(err / np.abs(ref).max(axis=0)))
+    # Normwise: the largest error over the largest entry of the solution.
+    return float(np.abs(got.astype(np.longdouble) - ref).max() / np.abs(ref).max())
+
+
+# (factors, vectors) from four factors (4, d, d) and twelve vectors (4, 3, d).
+LAYOUTS = {
+    "vector": lambda chols, vecs: (chols[0], vecs[0, 0]),
+    # A matrix's columns, passed as rows: how construction and gaussian_kl
+    # solve against a matrix.
+    "matrix": lambda chols, vecs: (chols[0], vecs[0]),
+    "stacked-vectors": lambda chols, vecs: (chols, vecs[:, 0]),
+    # A broadcast stack: each factor against the same three vectors.
+    "stacked-matrices": lambda chols, vecs: (chols[:, None], vecs[:1]),
+    # One factor against every vector.
+    "shared-factor": lambda chols, vecs: (chols[0], vecs),
+}
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e2, 1e5, 1e8, 1e11])
-@pytest.mark.parametrize(
-    "layout", ["vector", "matrix", "stacked-vectors", "stacked-matrices", "shared-factor"]
-)
+@pytest.mark.parametrize("layout", list(LAYOUTS))
 def test_forward_substitute_matches_independent_references(layout, cond):
     rng = np.random.default_rng([int(math.log10(cond)), len(layout)])
     for dim in (1, 2, 5, 12):
         # Factors of covariances with the given condition number (the package
         # refuses pivots below 1e-12 of the largest, so 1e11 is near its edge),
-        # and right-hand sides whose columns span six orders of magnitude.
+        # and vectors whose sizes span six orders of magnitude.
         chols = np.array([np.linalg.cholesky(cov_with_condition(rng, dim, cond))
                           for _ in range(4)])
-        rhs = rng.standard_normal((4, dim, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, 1, 3))
-        chol, b = {
-            "vector": (chols[0], rhs[0, :, 0]),
-            "matrix": (chols[0], rhs[0]),
-            "stacked-vectors": (chols, rhs[:, :, 0]),
-            "stacked-matrices": (chols, rhs),
-            "shared-factor": (chols[0], rhs),
-        }[layout]
+        vecs = rng.standard_normal((4, 3, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, 3, 1))
+        chol, b = LAYOUTS[layout](chols, vecs)
         got = forward_substitute(chol, b)
-        assert got.shape == b.shape
-        if b.ndim == chol.ndim - 1:
-            b, got = b[..., None], got[..., None]
-        factors = np.broadcast_to(chol, got.shape[:-2] + (dim, dim)).reshape(-1, dim, dim)
-        columns = got.shape[-1]
-        systems = zip(factors, b.reshape(-1, dim, columns), got.reshape(-1, dim, columns))
-        for factor, rhs_k, x in systems:
-            scipy_ref = solve_triangular(factor, rhs_k, lower=True)
+        assert got.shape == np.broadcast_shapes(chol.shape[:-1], b.shape)
+        factors = np.broadcast_to(chol, got.shape + (dim,)).reshape(-1, dim, dim)
+        systems = zip(factors, np.broadcast_to(b, got.shape).reshape(-1, dim), got.reshape(-1, dim))
+        for factor, vec, x in systems:
+            scipy_ref = solve_triangular(factor, vec, lower=True)
             assert _relative_error(x, scipy_ref) <= 1e-12
-            assert _relative_error(x, _longdouble_substitution(factor, rhs_k)) <= 1e-12
+            assert _relative_error(x, _longdouble_substitution(factor, vec)) <= 1e-12
 
 
 def test_forward_substitute_reads_only_the_lower_triangle():
     rng = np.random.default_rng(3)
-    chol = np.linalg.cholesky(cov_with_condition(rng, 6, 1e4))
-    filled = chol + np.triu(np.full((6, 6), np.nan), k=1)
-    rhs = rng.standard_normal((6, 2))
-    assert np.array_equal(forward_substitute(filled, rhs), forward_substitute(chol, rhs))
-    assert np.array_equal(forward_substitute(filled, rhs[:, 0]), forward_substitute(chol, rhs[:, 0]))
+    chols = np.array([np.linalg.cholesky(cov_with_condition(rng, 6, 1e4)) for _ in range(3)])
+    filled = chols + np.triu(np.full((6, 6), np.nan), k=1)
+    vecs = rng.standard_normal((3, 6))
+    assert np.array_equal(forward_substitute(filled, vecs), forward_substitute(chols, vecs))
+    assert np.array_equal(forward_substitute(filled[0], vecs), forward_substitute(chols[0], vecs))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 13])
 @pytest.mark.parametrize("stack", [1, 2, 9])
 def test_stacked_forward_substitution_equals_each_slice_bitwise(stack, dim):
-    # The KL matrix kernel solves a block of columns as one stack; a column's
-    # value must not depend on the block it falls in.
+    # The pair-block driver solves a block of pairs as one stack of vectors;
+    # a pair's value must not depend on the block it falls in.
     rng = np.random.default_rng([stack, dim])
     chols = np.array([np.linalg.cholesky(cov_with_condition(rng, dim, 1e4))
                       for _ in range(stack)])
-    rhs = rng.standard_normal((stack, dim, 20 * (dim + 1)))
-    stacked = forward_substitute(chols, rhs)
-    shared = forward_substitute(chols, rhs[:1])
-    assert stacked.shape == rhs.shape and shared.shape == rhs.shape
+    vecs = rng.standard_normal((stack, 20, dim))
+    stacked = forward_substitute(chols[:, None], vecs)
+    shared = forward_substitute(chols[:, None], vecs[:1])
+    assert stacked.shape == vecs.shape and shared.shape == vecs.shape
     for k in range(stack):
-        assert np.array_equal(stacked[k], forward_substitute(chols[k], rhs[k]))
-        assert np.array_equal(shared[k], forward_substitute(chols[k], rhs[0]))
+        assert np.array_equal(stacked[k], forward_substitute(chols[k], vecs[k]))
+        assert np.array_equal(shared[k], forward_substitute(chols[k], vecs[0]))
+        for m in range(0, 20, 7):
+            assert np.array_equal(stacked[k, m], forward_substitute(chols[k], vecs[k, m]))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7, 100])

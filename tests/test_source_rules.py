@@ -129,9 +129,10 @@ def test_family_modules_refuse_no_distance():
 
 
 def test_no_general_solve_or_explicit_inverse_in_the_package():
-    # Quadratic forms go through triangular solves against Cholesky factors:
-    # no LU on a factor that is already triangular, no covariance inverse.
-    forbidden = {"solve", "inv"}
+    # Quadratic forms go through triangular solves against Cholesky factors,
+    # or products with inverse factors formed by them: no LU on a factor that
+    # is already triangular, no covariance inverse, no NumPy solver at all.
+    forbidden = {"solve", "inv", "pinv", "lstsq", "tensorinv", "tensorsolve"}
 
     def dotted(node):
         parts = []
