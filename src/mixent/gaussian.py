@@ -9,10 +9,13 @@ factor at once.  A batch of points is laid out with the points on the last
 axis, and a mixture makes that transposed copy once for all its components;
 each component then costs one subtraction, one (d, d) by (d, n) matrix
 product and a sum over d rows, written into the caller's row.
-The other pairwise matrix kernels factor each pair's blended covariance in
-stacked blocks of pairs and forward-substitute against the fresh factors;
-the Bhattacharyya distance and the ELK log cross-term share one
-factorization of cov_i + cov_j per unordered pair.  A squared norm that
+The other pairwise matrix kernels go through one pair-block driver, which
+factors each pair's blended covariance in stacked blocks of pairs and forms
+the Chernoff divergence of the blend's order.  It takes each self term from
+its own diagonal pair, not from a stored log-determinant, so identical
+components are exactly zero apart at every order.  The Bhattacharyya
+distance and the ELK log cross-term share one factorization of
+cov_i + cov_j per unordered pair.  A squared norm that
 overflows is left at +inf without a warning: it is the exact distance of
 components whose means are too far apart to represent.
 """
@@ -234,20 +237,19 @@ def _stacked(comps, *names):
     return [np.array([getattr(c, name) for c in comps]) for name in names]
 
 
-def _quad_log_det(deltas: np.ndarray, covs: np.ndarray):
-    """|L_k^-1 deltas[k]|^2 and ln det covs[k] for each covariance in a stack,
-    L_k its Cholesky factor: one stacked factorization, then one stacked
-    forward substitution.  The pair-block driver calls it once per block."""
-    chol = np.linalg.cholesky(covs)
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return _mahalanobis_sq(chol, deltas), log_det
-
-
 def _pair_terms(comps, rows, cols, w_row: float, w_col: float):
-    """|L_k^-1 (mean_i - mean_j)|^2 and ln det S_k for each pair
-    (i, j) = (rows[k], cols[k]), with S_k = w_row cov_i + w_col cov_j and L_k
-    its Cholesky factor: the one pair-block driver of the Chernoff and ELK
-    kernels.  A pair's arithmetic does not depend on the block it falls in.
+    """(D, q, ln|S|) for each pair (i, j) = (rows[k], cols[k]), with S_ij =
+    w_row cov_i + w_col cov_j, L its Cholesky factor, q = |L^-1 (mean_i - mean_j)|^2
+    and D the Chernoff divergence of order w_col / t, t = w_row + w_col:
+    (w_row w_col q / t + (w_row (ln|S_ij| - ln|S_ii|) + w_col (ln|S_ij| - ln|S_jj|)) / t) / 2.
+
+    S_kk = t cov_k, so the d ln t in each ln|S| cancels.  The self terms come
+    from the diagonal pairs (k, k), so callers pass every diagonal pair, in
+    order.  Identical components then have S_ij = S_ii = S_jj bitwise and D
+    exactly zero, the premetric D(p || p) = 0 the estimators assume.  At
+    w_row = w_col the two self-term differences enter as one sum, which
+    commutes, so D does not depend on the order of its pair.  A pair's
+    arithmetic does not depend on the block it falls in.
     """
     means, covs = _stacked(comps, "mean", "cov")
     step = max(1, _BLOCK_FLOATS // comps[0].dim ** 2)
@@ -255,10 +257,13 @@ def _pair_terms(comps, rows, cols, w_row: float, w_col: float):
     for start in range(0, rows.size, step):
         block = slice(start, start + step)
         i, j = rows[block], cols[block]
-        quad[block], log_det[block] = _quad_log_det(
-            means[i] - means[j], w_row * covs[i] + w_col * covs[j]
-        )
-    return quad, log_det
+        chol = np.linalg.cholesky(w_row * covs[i] + w_col * covs[j])
+        quad[block] = _mahalanobis_sq(chol, means[i] - means[j])
+        log_det[block] = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    self_log_det = log_det[rows == cols]
+    total = w_row + w_col
+    self_terms = w_row * (log_det - self_log_det[rows]) + w_col * (log_det - self_log_det[cols])
+    return 0.5 * (w_row * w_col / total * quad + self_terms / total), quad, log_det
 
 
 def gaussian_kl_matrix(comps) -> np.ndarray:
@@ -289,27 +294,17 @@ def gaussian_kl_matrix(comps) -> np.ndarray:
 
 def gaussian_half_matrices(comps):
     """(Bhattacharyya distance, ln int p_i p_j dx) for every pair, from one
-    factorization of S_ij = cov_i + cov_j per unordered pair i <= j.
-
-    With q = |L^-1 (mean_i - mean_j)|^2 for the factor L of S_ij, the ELK
-    log cross-term is -(q + ln|S_ij| + d ln 2 pi) / 2 and the distance is
-    q / 4 + (ln|S_ij| - (ln|S_ii| + ln|S_jj|) / 2) / 2.  The diagonal pairs'
-    own ln|S_ii| stand in for ln|cov_i| + d ln 2, so the d ln 2 terms cancel
-    exactly and bitwise-identical components are exactly zero apart.  The
-    self terms are summed, which commutes, so an entry does not depend on
-    the order of its pair.  Both matrices are symmetric; the distance has a
-    zero diagonal and is clamped at zero.
+    factorization of S_ij = cov_i + cov_j per unordered pair i <= j: the
+    driver's divergence at equal weights, q / 4 + ((ln|S_ij| - ln|S_ii|) +
+    (ln|S_ij| - ln|S_jj|)) / 4, and -(q + ln|S_ij| + d ln 2 pi) / 2.  Both
+    matrices are symmetric; the distance is clamped at zero.
     """
     n, d = len(comps), comps[0].dim
     rows, cols = np.triu_indices(n)
-    quad, log_det = _pair_terms(comps, rows, cols, 1.0, 1.0)
-    self_log_det = log_det[rows == cols]
+    divergence, quad, log_det = _pair_terms(comps, rows, cols, 1.0, 1.0)
     bd, elk = np.empty((n, n)), np.empty((n, n))
-    bd[rows, cols] = bd[cols, rows] = 0.25 * quad + 0.5 * (
-        log_det - 0.5 * (self_log_det[rows] + self_log_det[cols])
-    )
+    bd[rows, cols] = bd[cols, rows] = divergence
     elk[rows, cols] = elk[cols, rows] = -0.5 * (quad + log_det + d * _LOG_2PI)
-    np.fill_diagonal(bd, 0.0)
     return np.maximum(bd, 0.0), elk
 
 
@@ -318,19 +313,14 @@ def gaussian_chernoff_matrix(comps, alpha: float) -> np.ndarray:
     (``DistanceKind`` checks the order; this kernel does not).
 
     Order 1/2 is the distance of ``gaussian_half_matrices``.  Any other order
-    factors (1 - alpha) cov_i + alpha cov_j over the ordered pairs i != j,
+    factors (1 - alpha) cov_i + alpha cov_j over all N^2 ordered pairs,
     because that blend is not symmetric in (i, j).
     """
     n = len(comps)
-    out = np.zeros((n, n))
     if alpha == 0.0 or alpha == 1.0:
-        return out
+        return np.zeros((n, n))
     if alpha == 0.5:
         return gaussian_half_matrices(comps)[0]
-    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
-    quad, log_det_mixed = _pair_terms(comps, rows, cols, 1.0 - alpha, alpha)
-    (log_dets,) = _stacked(comps, "log_det")
-    out[rows, cols] = 0.5 * alpha * (1.0 - alpha) * quad + 0.5 * (
-        log_det_mixed - (1.0 - alpha) * log_dets[rows] - alpha * log_dets[cols]
-    )
-    return np.maximum(out, 0.0)
+    rows, cols = np.indices((n, n)).reshape(2, -1)
+    divergence = _pair_terms(comps, rows, cols, 1.0 - alpha, alpha)[0]
+    return np.maximum(divergence.reshape(n, n), 0.0)

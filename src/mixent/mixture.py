@@ -56,7 +56,11 @@ class MixtureModel:
             raise NonFiniteValue("component weights must be finite")
         if np.any(weights < 0):
             raise NegativeWeight("component weights must be non-negative")
-        total = fsum(weights)
+        try:
+            total = fsum(weights)
+        except OverflowError:  # the sum is too large; the normalized weights are not
+            weights = weights / weights.max()
+            total = fsum(weights)
         if total <= 0:
             raise ZeroWeightSum("component weights must not all be zero")
         first = components[0]

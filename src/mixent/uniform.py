@@ -166,9 +166,9 @@ def _log_overlaps(comps):
 
 
 def _chernoff(log_overlap, log_volumes, alpha: float) -> np.ndarray:
-    """alpha ln V_i + (1 - alpha) ln V_j - ln V_ij, zero on the diagonal, clamped at zero."""
-    out = alpha * log_volumes[:, None] + (1.0 - alpha) * log_volumes - log_overlap
-    np.fill_diagonal(out, 0.0)
+    """alpha (ln V_i - ln V_ij) + (1 - alpha) (ln V_j - ln V_ij), clamped at zero;
+    the nesting overrides make both differences exactly zero for identical boxes."""
+    out = alpha * (log_volumes[:, None] - log_overlap) + (1.0 - alpha) * (log_volumes - log_overlap)
     return np.maximum(out, 0.0)
 
 
@@ -179,7 +179,6 @@ def uniform_kl_matrix(comps) -> np.ndarray:
     for i, a in enumerate(comps):
         contained = _within(a.lower, a.upper, lowers, uppers)
         out[i] = np.where(contained, np.maximum(log_volumes - a.log_volume, 0.0), math.inf)
-    np.fill_diagonal(out, 0.0)
     return out
 
 

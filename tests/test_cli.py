@@ -146,6 +146,16 @@ def test_estimate_bad_numbers_are_one_line_errors(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_estimate_accepts_weights_whose_sum_overflows(tmp_path, capsys):
+    doc = {**SINGLE_GAUSSIAN, "weights": [0.5, 0.5],
+           "components": [{"mean": [0.0], "cov": [[1.0]]}, {"mean": [1.0], "cov": [[2.0]]}]}
+    assert main(["estimate", "--spec", write_json(tmp_path, "half.json", doc)]) == 0
+    expected = capsys.readouterr()
+    doc["weights"] = [1e308, 1e308]
+    assert main(["estimate", "--spec", write_json(tmp_path, "huge.json", doc)]) == 0
+    assert capsys.readouterr() == expected
+
+
 def test_estimate_mc_zero_is_refused(tmp_path, capsys):
     spec = write_json(tmp_path, "single.json", SINGLE_GAUSSIAN)
     assert main(["estimate", "--spec", spec, "--mc", "0"]) == 1

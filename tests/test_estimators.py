@@ -251,6 +251,33 @@ def test_identical_components_recover_component_entropy():
         assert math.isclose(pairwise_estimate(mix, kind), h, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "copies, alpha",
+    [
+        ([GaussianComponent([0.0], [[0.3]]) for _ in range(2)], 0.1),
+        ([UniformBox([0.0], [0.3]) for _ in range(2)], 0.3),
+    ],
+    ids=["gaussian", "uniform"],
+)
+def test_exact_copies_close_the_bracket_at_every_chernoff_order(copies, alpha):
+    # The copies are exactly zero apart at every order, so the certified
+    # lower bound equals the upper bound instead of passing it by an ulp.
+    mix = MixtureModel([1.0, 1.0], copies)
+    assert lower_bound_chernoff(mix, alpha) == upper_bound_kl(mix) == mix.conditional_entropy()
+
+
+@pytest.mark.xfail(strict=True, reason="near copies: BD rounds above a KL clamped at 0")
+def test_near_copies_keep_the_bd_bound_below_the_kl_bound():
+    # BD_01 is 1.7e-16 while both KL entries round to 0, so h_bd exceeds h_kl
+    # by an ulp.  A cancellation-free KL kernel would make this pass.
+    mix = MixtureModel([1.0, 1.0], [
+        GaussianComponent([-2.8833762481742564], [[0.28531797824768834]]),
+        GaussianComponent([-2.883376248172732], [[0.28531797824743693]]),
+    ])
+    report = estimate_all(mix)
+    assert report.h_bd <= report.h_kl
+
+
 def test_far_separated_pair_hits_the_weight_entropy_ceiling():
     mix = two_far_apart()
     assert math.isclose(upper_bound_kl(mix), TWO_FAR_APART_UPPER, abs_tol=1e-12)

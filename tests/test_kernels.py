@@ -34,6 +34,7 @@ from mixent import (
     uniform_chernoff,
     uniform_elk_log_cross,
     uniform_kl,
+    upper_bound_kl,
 )
 from support import random_gaussian_mixture, random_spd, random_uniform_mixture
 
@@ -178,6 +179,8 @@ def test_box_half_pass_on_grid_placements(seed):
     identical = (lowers[:, None] == lowers).all(axis=-1) & (uppers[:, None] == uppers).all(axis=-1)
     assert identical.sum() > len(boxes)
     assert (bd[identical] == 0.0).all()
+    for alpha in (0.1, 0.3, 0.7, 0.9):
+        assert (UniformBox.chernoff_matrix(boxes, alpha)[identical] == 0.0).all(), alpha
     sides = np.minimum(uppers[:, None], uppers) - np.maximum(lowers[:, None], lowers)
     assert np.array_equal(np.isneginf(elk), (sides <= 0.0).any(axis=-1))
 
@@ -218,6 +221,12 @@ def test_identical_components_are_exactly_zero_apart(kind, seed):
     ]
     assert len(identical) > len(comps)
     assert [bd[i, j] for i, j in identical] == [0.0] * len(identical)
+    # Every order, not only 1/2: the premetric D(p || p) = 0 is what keeps
+    # the Chernoff lower bound below the KL upper bound on exact copies.
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+        dists = pairwise_distance_matrix(mix, chernoff_distance(alpha))
+        assert [dists[i, j] for i, j in identical] == [0.0] * len(identical), alpha
+        assert lower_bound_chernoff(mix, alpha) <= upper_bound_kl(mix), alpha
     report = estimate_all(mix)
     assert report.h_cond <= report.h_bd <= report.h_kl <= report.h_joint
 

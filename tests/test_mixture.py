@@ -86,6 +86,11 @@ def test_weights_are_normalized():
     assert mix.weights.tolist() == [0.25, 0.75]
 
 
+def test_weights_whose_sum_overflows_are_normalized():
+    mix = MixtureModel([1e308, 1e308, 0.0], [std_normal(), std_normal(shift=3.0), std_normal()])
+    assert mix.weights.tolist() == [0.5, 0.5, 0.0]
+
+
 @given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=8))
 @settings(max_examples=50, deadline=None)
 def test_normalization_sums_to_one(raw_weights):
