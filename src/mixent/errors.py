@@ -54,7 +54,8 @@ class DegreesOfFreedomTooSmall(MixtureError):
 
 
 class InsufficientSamples(MixtureError):
-    """Monte Carlo estimation needs at least two samples."""
+    """A sample or point count must be an integer, and large enough: at least
+    two for Monte Carlo estimation."""
 
 
 class NotOneDimensional(MixtureError):

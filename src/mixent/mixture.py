@@ -16,6 +16,7 @@ from ._numeric import as_points, fsum, log_sum_exp_axis0
 from .errors import (
     DimensionMismatch,
     EmptyMixture,
+    InsufficientSamples,
     MixedFamilies,
     MixtureError,
     NegativeWeight,
@@ -26,10 +27,35 @@ from .errors import (
 from .gaussian import GaussianComponent
 from .uniform import UniformBox
 
-# Points per block in MixtureModel.log_density: the K x block row buffer and
-# each component's block temporaries stay cache-sized however many points
-# are evaluated.
+# Points per block in MixtureModel.log_density and in the grouped draws: the
+# (d, block) point buffer, the K x block row buffer and each component's
+# block temporaries stay cache-sized however many points are drawn or
+# evaluated.
 _BLOCK = 4096
+
+
+def _block_bounds(n: int):
+    """Yield (start, stop) for each block of n points, in order.
+
+    A lone last point joins the block before it: a one-point block takes
+    other BLAS and summation routes and rounds differently.  So for n >= 2
+    every block has from two to _BLOCK + 1 points.
+    """
+    start = 0
+    while start < n:
+        stop = n if n - start <= _BLOCK + 1 else start + _BLOCK
+        yield start, stop
+        start = stop
+
+
+def _draw_count(size, least: int = 0) -> int:
+    """size as a number of draws: a Python or NumPy integer, not a bool, of
+    at least ``least``; anything else raises :class:`InsufficientSamples`."""
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise InsufficientSamples(f"the number of samples must be an integer, got {size!r}")
+    if size < least:
+        raise InsufficientSamples(f"need at least {least} samples, got {size}")
+    return int(size)
 
 
 class MixtureModel:
@@ -96,30 +122,39 @@ class MixtureModel:
         every support maps to -inf.  The points are streamed in fixed
         blocks, and a point's value does not depend on which batch it came
         in (batches of two or more points).  Each block is copied once with
-        the points on the last axis; every component reads that copy and
-        writes its row of one K x block buffer, which is reduced in place.
-        So memory is O(block (K + d)) for any batch size, and the buffer is
-        allocated once per call.
+        the points on the last axis and evaluated by the same block routine
+        that the Monte Carlo check runs on its grouped draws.  So memory is
+        O(block (K + d)) for any batch size.
         """
         pts, single = as_points(x, self.dim, "mixture")
-        active = self.active_indices()
-        log_weights = np.log(self.weights[active])
         n = pts.shape[0]
+        evaluate = self._block_log_density(n)
         out = np.empty(n)
+        for start, stop in _block_bounds(n):
+            out[start:stop] = evaluate(np.ascontiguousarray(pts[start:stop].T))
+        return float(out[0]) if single else out
+
+    def _block_log_density(self, n: int):
+        """The mixture log density of one block of points, as a function.
+
+        The function takes the points as the columns of a (d, b) array,
+        b <= min(n, _BLOCK + 1), unchecked and only read, and returns their
+        log densities (b,).  Every active component writes its row of one
+        K x block buffer, allocated here once; ln c_k is added, and the
+        buffer is reduced by a log-sum-exp in place.
+        """
+        active = self.active_indices()
+        log_weights = np.log(self.weights[active])[:, None]
         rows = np.empty((active.size, min(n, _BLOCK + 1)))
-        start = 0
-        while start < n:
-            # A lone last point joins the block before it: a one-point block
-            # takes other BLAS and summation routes and rounds differently.
-            stop = n if n - start <= _BLOCK + 1 else start + _BLOCK
-            cols, buf = np.ascontiguousarray(pts[start:stop].T), rows[:, : stop - start]
-            # The points were checked once above; each component skips its own check.
+
+        def evaluate(cols):
+            buf = rows[:, : cols.shape[1]]
             for row, k in enumerate(active):
                 self.components[k]._log_density_cols(cols, buf[row])
-            buf += log_weights[:, None]
-            out[start:stop] = log_sum_exp_axis0(buf)
-            start = stop
-        return float(out[0]) if single else out
+            buf += log_weights
+            return log_sum_exp_axis0(buf)
+
+        return evaluate
 
     def conditional_entropy(self) -> float:
         """Average component entropy: the floor of the mixture entropy."""
@@ -140,19 +175,48 @@ class MixtureModel:
     def sample(self, rng, size=None):
         """Draw one vector (size=None) or a (size, d) batch.
 
-        A component index is drawn from the weights, then the component
-        generates the point; batches fill per component in index order so a
-        fixed generator state always yields the same draws.
+        size must be a Python or NumPy integer >= 0, not a bool, or
+        :class:`InsufficientSamples` is raised.  The rows are the grouped
+        draws of :meth:`_grouped_draws` put back in draw order, so a fixed
+        generator state always yields the same points.
         """
-        n = 1 if size is None else int(size)
-        idx = rng.choice(self.n_components, size=n, p=self.weights)
+        n = 1 if size is None else _draw_count(size)
         out = np.empty((n, self.dim))
-        for k in range(self.n_components):
-            mask = idx == k
-            hits = int(mask.sum())
-            if hits:
-                out[mask] = self.components[k].sample(rng, hits)
+        for positions, cols in self._grouped_draws(rng, n):
+            out[positions] = cols.T
         return out[0] if size is None else out
+
+    def _grouped_draws(self, rng, n: int):
+        """Draw n checked points; yield (positions, cols) per block of
+        :func:`_block_bounds`, with the points grouped by component.
+
+        One ``rng.choice`` labels the draws.  Each component with a positive
+        count then draws its points, in index order, through its own
+        ``sample``, into the next columns of one reused (d, block) buffer.  A
+        component that a block edge splits is drawn in two calls, which read
+        the generator's stream as one call would.  ``cols`` is a (d, b) view
+        of the buffer that the next block overwrites; ``positions`` are the
+        draw indices of its points.
+        """
+        labels = rng.choice(self.n_components, size=n, p=self.weights)
+        ends = np.cumsum(np.bincount(labels, minlength=self.n_components)).tolist()
+        # A stable sort lists each component's draws in draw order.  NumPy
+        # radix-sorts the narrowest unsigned type, several times faster
+        # than it sorts the int64 labels.
+        order = np.argsort(labels.astype(np.min_scalar_type(self.n_components - 1)), kind="stable")
+        del labels
+        buffer = np.empty((self.dim, min(n, _BLOCK + 1)))
+        k = 0
+        for start, stop in _block_bounds(n):
+            cols = buffer[:, : stop - start]
+            at = start
+            while at < stop:
+                while ends[k] <= at:  # components whose draws are all made
+                    k += 1
+                take = min(ends[k], stop) - at
+                cols[:, at - start : at - start + take] = self.components[k].sample(rng, take).T
+                at += take
+            yield order[start:stop], cols
 
 
 class Grouping:

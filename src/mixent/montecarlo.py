@@ -15,7 +15,7 @@ import numpy as np
 
 from ._numeric import fsum
 from .errors import InsufficientSamples, MixtureError, NotOneDimensional
-from .mixture import MixtureModel
+from .mixture import MixtureModel, _draw_count
 from .uniform import UniformBox
 
 __all__ = ["McResult", "mc_entropy", "quad_entropy_1d", "quad_cross_term_1d"]
@@ -39,9 +39,11 @@ def mc_entropy(mixture: MixtureModel, samples: int, seed: int) -> McResult:
     ----------
     mixture : MixtureModel
     samples : int
-        Number of draws, at least 2 so the standard error exists.
+        Number of draws, a Python or NumPy integer of at least 2 so the
+        standard error exists; anything else raises InsufficientSamples.
     seed : int
-        Non-negative master seed.  Draws come from a generator built on
+        Non-negative master seed, a Python or NumPy integer; anything else
+        raises MixtureError.  Draws come from a generator built on
         ``numpy.random.SeedSequence(seed, spawn_key=(0,))``, so a fixed seed
         always reproduces the same estimate bit for bit.
 
@@ -49,14 +51,25 @@ def mc_entropy(mixture: MixtureModel, samples: int, seed: int) -> McResult:
     -------
     McResult
         estimate, stderr = sample standard deviation / sqrt(samples), samples.
+
+    The result is bitwise that of ``-mixture.log_density(mixture.sample(rng,
+    samples))``, but the (samples, d) array is never built: each block of
+    the mixture's grouped draws is evaluated by the block routine of
+    ``log_density`` as it is drawn, and the values are put back in draw
+    order before the mean and spread are taken.  Memory is O(block (K + d))
+    plus a few vectors of length samples.
     """
-    samples = int(samples)
-    if samples < 2:
-        raise InsufficientSamples(f"need at least 2 samples, got {samples}")
+    samples = _draw_count(samples, 2)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise MixtureError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise MixtureError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    values = -mixture.log_density(mixture.sample(rng, samples))
+    evaluate = mixture._block_log_density(samples)
+    values = np.empty(samples)
+    for positions, cols in mixture._grouped_draws(rng, samples):
+        values[positions] = evaluate(cols)
+    np.negative(values, out=values)
     estimate = float(np.mean(values))
     spread = float(np.std(values, ddof=1))
     return McResult(estimate, spread / math.sqrt(samples), samples)

@@ -547,8 +547,9 @@ def test_estimate_all_with_monte_carlo():
 
 
 def test_estimate_all_refuses_too_few_monte_carlo_samples():
+    # A fractional count is refused, not truncated to the integer below it.
     mix = MixtureModel([1.0], [GaussianComponent([0.0], [[1.0]])])
-    for samples in (0, 1):
+    for samples in (0, 1, 10.9, np.float64(3.9), "10", True):
         with pytest.raises(InsufficientSamples):
             estimate_all(mix, mc_samples=samples)
 

@@ -16,6 +16,7 @@ from mixent import (
     EmptyMixture,
     GaussianComponent,
     Grouping,
+    InsufficientSamples,
     MixedFamilies,
     MixtureError,
     MixtureModel,
@@ -330,6 +331,55 @@ def test_sampling_single_draw_shape():
     mix = MixtureModel([1.0], [std_normal(3)])
     assert mix.sample(rng).shape == (3,)
     assert mix.sample(rng, 10).shape == (10, 3)
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(2.0), -1, np.int64(-3), "3", True])
+def test_sampling_refuses_a_count_that_is_not_a_non_negative_integer(bad):
+    mix = MixtureModel([1.0], [std_normal(2)])
+    with pytest.raises(InsufficientSamples):
+        mix.sample(np.random.default_rng(0), bad)
+
+
+def test_sampling_takes_numpy_integer_counts_and_zero():
+    mix = MixtureModel([0.5, 0.5], [std_normal(2), std_normal(2, shift=3.0)])
+    assert mix.sample(np.random.default_rng(0), 0).shape == (0, 2)
+    got = mix.sample(np.random.default_rng(1), np.uint16(9))
+    assert np.array_equal(got, mix.sample(np.random.default_rng(1), 9))
+
+
+def _mask_loop_sample(mix, rng, n):
+    # The independent reference for draw order: label every draw, then let
+    # each component with hits fill its rows through one boolean mask.
+    idx = rng.choice(mix.n_components, size=n, p=mix.weights)
+    out = np.empty((n, mix.dim))
+    for k in range(mix.n_components):
+        mask = idx == k
+        hits = int(mask.sum())
+        if hits:
+            out[mask] = mix.components[k].sample(rng, hits)
+    return out, idx
+
+
+@pytest.mark.parametrize("n", [2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 3 * _BLOCK + 17])
+@pytest.mark.parametrize("dim", [1, 5, 40])
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_sampling_matches_the_mask_loop_reference(family, dim, n):
+    # Up to one block every component is drawn in one call, as in the
+    # reference.  Beyond it a component split by a block edge is drawn in two
+    # calls on the same stream: the same normals, but a Gaussian's product
+    # with its factor runs on fewer rows and may round differently.  That is
+    # 4 ulps of the terms mean and L z, not of their sum, which cancels.
+    rng = np.random.default_rng([n, dim, len(family)])
+    mix = random_mixture(rng, 6, dim, family)
+    mix = MixtureModel(np.insert(mix.weights[1:], 3, 0.0), mix.components)
+    got = mix.sample(np.random.default_rng(n), n)
+    ref, labels = _mask_loop_sample(mix, np.random.default_rng(n), n)
+    if n <= _BLOCK + 1:
+        assert np.array_equal(got, ref)
+    else:
+        centers = np.array([comp.center() for comp in mix.components])[labels]
+        terms = np.abs(centers) + np.abs(ref - centers)
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(terms))
 
 
 def test_uniform_sampling_stays_in_support_and_centers():

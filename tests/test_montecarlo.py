@@ -1,6 +1,7 @@
 """Monte Carlo and quadrature oracles, and their agreement with closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mixent import (
     GaussianComponent,
     InsufficientSamples,
+    McResult,
     MixtureError,
     MixtureModel,
     NotOneDimensional,
@@ -23,7 +25,8 @@ from mixent import (
     uniform_elk_cross,
     uniform_kl,
 )
-from support import random_gaussian_mixture
+from mixent.mixture import _BLOCK
+from support import random_gaussian_mixture, random_mixture
 
 STD_NORMAL_ENTROPY = 1.4189385332046727
 
@@ -74,6 +77,78 @@ def test_mc_is_deterministic_per_seed():
     values = -mix.log_density(mix.sample(rng, 5000))
     assert a.estimate == float(np.mean(values))
     assert a.stderr == float(np.std(values, ddof=1)) / math.sqrt(5000)
+
+
+def _draw_route_mixture(case: str, samples: int):
+    """(mixture, seed) for one case of the draw-route test; see below."""
+    rng = np.random.default_rng([samples, len(case)])
+    if case == "single":
+        return random_gaussian_mixture(rng, 1, 3), 11
+    if case == "once":
+        # A component of weight 1/samples, and the first seed whose labels
+        # draw it exactly once.
+        mix = random_gaussian_mixture(rng, 3, 3)
+        mix = MixtureModel([0.5, 0.5, 1.0 / samples], mix.components)
+        for seed in range(100):
+            labels_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+            labels = labels_rng.choice(3, size=samples, p=mix.weights)
+            if np.count_nonzero(labels == 2) == 1:
+                return mix, seed
+        raise AssertionError("no seed draws the light component exactly once")
+    mix = random_mixture(rng, 5, 3, case)
+    return MixtureModel(np.insert(mix.weights[1:], 2, 0.0), mix.components), 12
+
+
+@pytest.mark.parametrize(
+    "samples", [2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 3 * _BLOCK + 17]
+)
+@pytest.mark.parametrize("case", ["gaussian", "uniform", "single", "once"])
+def test_mc_is_bitwise_the_mean_over_the_sampled_log_density(case, samples):
+    # mc_entropy streams grouped blocks of draws and never builds the sample
+    # array; its values must still be those of the public route, bit for
+    # bit: one K = 1 mixture, both families with a zero-weight component,
+    # and a component drawn exactly once, on either side of block edges.
+    mix, seed = _draw_route_mixture(case, samples)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    values = -mix.log_density(mix.sample(rng, samples))
+    expected = McResult(
+        float(np.mean(values)), float(np.std(values, ddof=1)) / math.sqrt(samples), samples
+    )
+    assert mc_entropy(mix, samples, seed) == expected
+
+
+@pytest.mark.parametrize("bad", [10.9, np.float64(3.9), 2.0, "10", None, True, np.bool_(True)])
+def test_mc_refuses_a_sample_count_that_is_not_an_integer(bad):
+    with pytest.raises(InsufficientSamples, match="must be an integer"):
+        mc_entropy(std_normal_mixture(), bad, seed=0)
+
+
+@pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3", None, True])
+def test_mc_refuses_a_seed_that_is_not_an_integer(bad):
+    # numpy's SeedSequence would raise a bare TypeError deeper down, or take True as 1.
+    with pytest.raises(MixtureError, match="seed must be an integer"):
+        mc_entropy(std_normal_mixture(), 10, bad)
+
+
+def test_mc_accepts_numpy_integer_counts_and_seeds():
+    mix = std_normal_mixture()
+    assert mc_entropy(mix, np.int32(50), np.uint64(4)) == mc_entropy(mix, 50, 4)
+    assert mc_entropy(mix, np.int64(50), 4).samples == 50
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_mc_memory_stays_within_blocks(family):
+    # The check holds O(block (K + d)) floats plus a few vectors of length
+    # S, never the S x d sample array: its peak stays below half of one.
+    samples, dim = 100_000, 40
+    mix = random_mixture(np.random.default_rng(40), 8, dim, family)
+    tracemalloc.start()
+    try:
+        mc_entropy(mix, samples, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * samples * dim
 
 
 def test_mc_stderr_shrinks_like_the_square_root_of_the_sample_count():

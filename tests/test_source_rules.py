@@ -62,6 +62,32 @@ def test_component_type_checks_stay_in_the_oracle_modules():
     assert not found, f"component isinstance checks outside {sorted(allowed)}: {found}"
 
 
+def test_one_draw_route_in_the_mixture():
+    # The component labels and every component's points are drawn at one
+    # place in mixture.py, so MixtureModel.sample and the Monte Carlo check
+    # cannot come to draw differently.
+    def draws(path):
+        return [
+            (node.func.attr, node.lineno)
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("choice", "sample")
+        ]
+
+    package = Path(mixent.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert any(path.name == "montecarlo.py" for path in sources)
+    found = [
+        f"{path.name}:{line} .{name}("
+        for path in sources
+        if path.name != "mixture.py"
+        for name, line in draws(path)
+    ]
+    assert not found, f"draws outside mixture.py: {found}"
+    assert Counter(name for name, _ in draws(package / "mixture.py")) == {"choice": 1, "sample": 1}
+
+
 def test_component_classes_share_one_pair_contract():
     # The estimators reach a family only through these three matrix kernels.
     contract = {"kl_matrix", "chernoff_matrix", "half_matrices"}
