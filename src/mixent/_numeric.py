@@ -1,5 +1,5 @@
-"""Shared numeric helpers: order-stable summation, careful log-sum-exp and
-the package's one triangular solve, on stacked vectors."""
+"""Shared numeric helpers: the one rule for counts, order-stable summation,
+careful log-sum-exp and the package's one triangular solve, on stacked vectors."""
 
 from __future__ import annotations
 
@@ -7,9 +7,20 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import DimensionMismatch, InsufficientSamples, NonFiniteValue
 
 NEG_INF = float("-inf")
+
+
+def as_count(value, least: int, what: str, error=InsufficientSamples) -> int:
+    """value as an int if it is a Python or NumPy integer, not a bool, of at least
+    ``least``; anything else (a float or a numeric string too) raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise error(f"{what} must be {bound}, got {value}")
+    return int(value)
 
 
 def as_points(x, dim: int, owner: str):

@@ -14,12 +14,13 @@ mixture entropy and any Chernoff-order choice is a lower bound, with order
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import fsum, log_sum_exp_rows
-from .errors import AlphaOutOfRange, BoundViolated, UnsupportedDistance
+from ._numeric import as_count, fsum, log_sum_exp_rows
+from .errors import AlphaOutOfRange, BoundViolated, MixtureError, UnsupportedDistance
 # Re-exported, not called here: ``mixent.estimators.gaussian_kl`` was a public
 # name before the component methods, and bench/tests/test_bench.py reads it.
 from .gaussian import gaussian_kl  # noqa: F401
@@ -30,8 +31,8 @@ from .montecarlo import McResult, mc_entropy
 @dataclass(frozen=True)
 class DistanceKind:
     """Selector for the pairwise distance driving the estimator family: ``kl``
-    (no order), or ``chernoff`` with an order alpha in [0, 1]; anything else
-    is refused."""
+    (no order), or ``chernoff`` with a real order alpha in [0, 1]; anything
+    else is refused."""
 
     name: str
     alpha: float | None = None
@@ -41,8 +42,11 @@ class DistanceKind:
             raise UnsupportedDistance(f"unknown distance kind {self.name!r}")
         if self.name == "kl" and self.alpha is not None:
             raise AlphaOutOfRange(f"kl takes no order, got {self.alpha}")
-        if self.name == "chernoff" and (self.alpha is None or not 0.0 <= self.alpha <= 1.0):
-            raise AlphaOutOfRange(f"chernoff order must lie in [0, 1], got {self.alpha}")
+        if self.name == "chernoff":  # any real order, kept as a float; not "0.3" or True
+            real = isinstance(self.alpha, numbers.Real) and not isinstance(self.alpha, bool)
+            if not (real and 0.0 <= self.alpha <= 1.0):
+                raise AlphaOutOfRange(f"chernoff order {self.alpha!r} is not a real in [0, 1]")
+            object.__setattr__(self, "alpha", float(self.alpha))
 
 
 KL = DistanceKind("kl")
@@ -51,7 +55,7 @@ BHATTACHARYYA = DistanceKind("chernoff", 0.5)
 
 def chernoff_distance(alpha: float) -> DistanceKind:
     """Chernoff divergence of the given order; valid distances need alpha in [0, 1]."""
-    return DistanceKind("chernoff", float(alpha))
+    return DistanceKind("chernoff", alpha)
 
 
 def pairwise_distance_matrix(mixture: MixtureModel, kind: DistanceKind) -> np.ndarray:
@@ -138,6 +142,7 @@ def clustered_gap_bound(mixture: MixtureModel, grouping: Grouping, alpha: float)
     which collapses to kappa as the groups separate.  A measured gap above
     the returned value raises :class:`BoundViolated`.
     """
+    alpha = chernoff_distance(alpha).alpha  # a real order in [0, 1], as a float
     if not 0.0 < alpha <= 1.0:
         raise AlphaOutOfRange(f"gap bound needs alpha in (0, 1], got {alpha}")
     kl = pairwise_distance_matrix(mixture, KL)
@@ -181,10 +186,11 @@ def estimate_all(
     """Run every estimator on one mixture.
 
     Monte Carlo is included only when mc_samples is given (it must then be at
-    least 2); seed feeds its substream derivation and nothing else.  The
-    Bhattacharyya and ELK matrices come from one order-1/2 pass of the
-    family's ``half_matrices``.
+    least 2); seed feeds its substream derivation and nothing else, but is
+    checked as in :func:`mc_entropy` either way.  The Bhattacharyya and ELK
+    matrices come from one order-1/2 pass of the family's ``half_matrices``.
     """
+    seed = as_count(seed, 0, "seed", MixtureError)
     mc = mc_entropy(mixture, mc_samples, seed) if mc_samples is not None else None
     comps = mixture.components
     bd, log_cross = type(comps[0]).half_matrices(comps)

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._numeric import as_count
 from .errors import DegreesOfFreedomTooSmall, MixtureError
 from .estimators import estimate_all
 from .gaussian import GaussianComponent
@@ -86,7 +87,7 @@ def gen_gaussian_wishart(n_components: int, dim: int, dof: float, seed) -> Mixtu
 
 def _gen_clustered(make, n_components, dim, clusters, sigma, seed, balanced):
     # shared body of the clustered generators; make(center) builds one component
-    if not 1 <= clusters <= n_components:
+    if as_count(clusters, 1, "clusters", MixtureError) > n_components:
         raise MixtureError(f"need 1 <= clusters <= components, got {clusters} of {n_components}")
     rng = np.random.default_rng(seed)
     centers = sigma * rng.standard_normal((clusters, dim))
@@ -258,33 +259,30 @@ def _point_seeds(master_seed: int, experiment: str, index: int) -> tuple[int, in
     # substream derivation: hash (seed, experiment id, grid index) through
     # SeedSequence, then split one stream for generation and one for MC
     code = int.from_bytes(experiment.encode("ascii"), "little")
-    seq = np.random.SeedSequence([int(master_seed), code, int(index)])
-    gen_seed, mc_seed = (int(s) for s in seq.generate_state(2, np.uint64))
-    return gen_seed, mc_seed
+    seq = np.random.SeedSequence([master_seed, code, index])
+    return tuple(int(s) for s in seq.generate_state(2, np.uint64))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Run one experiment sweep and return rows in (grid point, estimator) order.
 
     Each grid point contributes exactly one row per name in ESTIMATOR_ORDER;
-    only the Monte Carlo row carries a standard error.
+    only the Monte Carlo row carries a standard error.  The counts n_components,
+    clusters, mc_samples, seed and dim must be integers of at least 1, 1, 2, 0
+    and 1, or MixtureError is raised before any mixture is built.
     """
     sweep = _lookup(config.experiment)
-    if config.n_components < 1:
-        raise MixtureError("need at least one component")
-    if config.mc_samples < 2:
-        raise MixtureError("need at least two Monte Carlo samples")
-    if config.seed < 0:
-        raise MixtureError(f"seed must be non-negative, got {config.seed}")
-    if not sweep.sweeps_dim and config.dim < 1:  # before default_grid takes ln dim
-        raise MixtureError(f"mixture dimension must be at least 1, got {config.dim}")
+    for name, least in (("n_components", 1), ("clusters", 1), ("mc_samples", 2)):
+        as_count(getattr(config, name), least, name, MixtureError)
+    seed = as_count(config.seed, 0, "seed", MixtureError)
+    if not sweep.sweeps_dim:  # before default_grid takes ln dim
+        as_count(config.dim, 1, "mixture dimension", MixtureError)
     grid = config.resolved_grid()
     dims = [int(round(v)) for v in grid] if sweep.sweeps_dim else [config.dim] * len(grid)
-    if min(dims) < 1:
-        raise MixtureError(f"mixture dimension must be at least 1, got {min(dims)}")
+    as_count(min(dims), 1, "mixture dimension", MixtureError)
     rows: list[SweepRow] = []
     for index, (value, dim) in enumerate(zip(grid, dims)):
-        gen_seed, mc_seed = _point_seeds(config.seed, config.experiment, index)
+        gen_seed, mc_seed = _point_seeds(seed, config.experiment, index)
         mixture = sweep.build(config, value, dim, gen_seed)
         report = estimate_all(mixture, mc_samples=config.mc_samples, seed=mc_seed)
         cells = {

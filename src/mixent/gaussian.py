@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from ._numeric import as_points, forward_substitute
+from ._numeric import as_count, as_points, forward_substitute
 from .errors import AlphaOutOfRange, DimensionMismatch, NonFiniteValue, NotPositiveDefinite
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -124,7 +124,7 @@ class GaussianComponent:
 
     def sample(self, rng, size=None):
         """Draw one vector (size=None) or a (size, d) batch using mean + L z."""
-        n = 1 if size is None else int(size)
+        n = 1 if size is None else as_count(size, 0, "the number of samples")
         z = rng.standard_normal((n, self.dim))
         draws = self.mean + z @ self.chol.T
         return draws[0] if size is None else draws

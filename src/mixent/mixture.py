@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numeric import as_points, fsum, log_sum_exp_axis0
+from ._numeric import as_count, as_points, fsum, log_sum_exp_axis0
 from .errors import (
     DimensionMismatch,
     EmptyMixture,
-    InsufficientSamples,
     MixedFamilies,
     MixtureError,
     NegativeWeight,
@@ -46,16 +45,6 @@ def _block_bounds(n: int):
         stop = n if n - start <= _BLOCK + 1 else start + _BLOCK
         yield start, stop
         start = stop
-
-
-def _draw_count(size, least: int = 0) -> int:
-    """size as a number of draws: a Python or NumPy integer, not a bool, of
-    at least ``least``; anything else raises :class:`InsufficientSamples`."""
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-        raise InsufficientSamples(f"the number of samples must be an integer, got {size!r}")
-    if size < least:
-        raise InsufficientSamples(f"need at least {least} samples, got {size}")
-    return int(size)
 
 
 class MixtureModel:
@@ -180,7 +169,7 @@ class MixtureModel:
         draws of :meth:`_grouped_draws` put back in draw order, so a fixed
         generator state always yields the same points.
         """
-        n = 1 if size is None else _draw_count(size)
+        n = 1 if size is None else as_count(size, 0, "the number of samples")
         out = np.empty((n, self.dim))
         for positions, cols in self._grouped_draws(rng, n):
             out[positions] = cols.T
@@ -225,16 +214,19 @@ class Grouping:
     ``assignment[i]`` is the integer group label of component i, and
     ``group_weights`` maps each label to the total mixture weight of its
     members.  Labels whose total weight is zero count as empty groups.
+    Labels may be negative but must have an integer dtype, never bool.
     """
 
     __slots__ = ("assignment", "group_weights")
 
     def __init__(self, mixture: MixtureModel, assignment):
-        assignment = tuple(int(g) for g in assignment)
-        if len(assignment) != mixture.n_components:
+        labels = np.asarray(assignment)
+        if labels.shape != (mixture.n_components,) or not np.issubdtype(labels.dtype, np.integer):
             raise MixtureError(
-                f"got {len(assignment)} group labels for {mixture.n_components} components"
+                f"need one integer group label per component ({mixture.n_components}), "
+                f"got {assignment!r}"
             )
+        assignment = tuple(labels.tolist())
         buckets: dict[int, list[float]] = {}
         for label, w in zip(assignment, mixture.weights):
             buckets.setdefault(label, []).append(float(w))

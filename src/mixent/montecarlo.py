@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import fsum
-from .errors import InsufficientSamples, MixtureError, NotOneDimensional
-from .mixture import MixtureModel, _draw_count
+from ._numeric import as_count, fsum
+from .errors import MixtureError, NotOneDimensional
+from .mixture import MixtureModel
 from .uniform import UniformBox
 
 __all__ = ["McResult", "mc_entropy", "quad_entropy_1d", "quad_cross_term_1d"]
@@ -59,11 +59,8 @@ def mc_entropy(mixture: MixtureModel, samples: int, seed: int) -> McResult:
     order before the mean and spread are taken.  Memory is O(block (K + d))
     plus a few vectors of length samples.
     """
-    samples = _draw_count(samples, 2)
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise MixtureError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise MixtureError(f"seed must be non-negative, got {seed}")
+    samples = as_count(samples, 2, "the number of samples")
+    seed = as_count(seed, 0, "seed", MixtureError)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     evaluate = mixture._block_log_density(samples)
     values = np.empty(samples)
@@ -125,16 +122,14 @@ def quad_entropy_1d(mixture: MixtureModel, lo: float, hi: float, points: int = 1
 
     [lo, hi] must cover essentially all mass (12 standard deviations past
     every Gaussian mean is ample).  The 0 ln 0 = 0 convention applies where
-    the density vanishes.
+    the density vanishes.  points must be an integer of at least 101.
     """
     if mixture.dim != 1:
         raise NotOneDimensional(f"quadrature oracle needs dimension 1, got {mixture.dim}")
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise MixtureError(f"empty integration range [{lo}, {hi}]")
-    points = int(points)
-    if points < _MIN_POINTS:
-        raise InsufficientSamples(f"need at least {_MIN_POINTS} quadrature points, got {points}")
+    points = as_count(points, _MIN_POINTS, "the number of quadrature points")
 
     edges = [e for k in mixture.active_indices() for e in _box_edges(mixture.components[k])]
     pieces = []
@@ -166,9 +161,7 @@ def quad_cross_term_1d(p, q, kind: str, alpha: float | None = None, points: int 
     """
     if p.dim != 1 or q.dim != 1:
         raise NotOneDimensional("cross-term quadrature needs 1-D components")
-    points = int(points)
-    if points < _MIN_POINTS:
-        raise InsufficientSamples(f"need at least {_MIN_POINTS} quadrature points, got {points}")
+    points = as_count(points, _MIN_POINTS, "the number of quadrature points")
     if kind == "chernoff":
         if alpha is None or not 0.0 < alpha < 1.0:
             raise MixtureError(f"chernoff integrand needs alpha in (0, 1), got {alpha}")

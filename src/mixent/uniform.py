@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ._numeric import NEG_INF, as_points, fsum
+from ._numeric import NEG_INF, as_count, as_points, fsum
 from .errors import AlphaOutOfRange, DegenerateBox, DimensionMismatch, NonFiniteValue
 
 
@@ -64,7 +64,7 @@ class UniformBox:
         out[...] = np.where(inside, -self.log_volume, NEG_INF)
 
     def sample(self, rng, size=None):
-        n = 1 if size is None else int(size)
+        n = 1 if size is None else as_count(size, 0, "the number of samples")
         draws = rng.uniform(self.lower, self.upper, size=(n, self.dim))
         return draws[0] if size is None else draws
 

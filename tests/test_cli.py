@@ -243,11 +243,12 @@ def test_sweep_bad_dimension_is_a_one_line_error(capsys, args):
     assert "dimension must be at least 1" in captured.err
 
 
-@pytest.mark.parametrize("command", ["estimate", "sweep"])
+@pytest.mark.parametrize("command", ["estimate", "estimate-without-mc", "sweep"])
 def test_negative_seed_is_a_one_line_error(tmp_path, capsys, command):
-    if command == "estimate":
+    if command.startswith("estimate"):
         spec = write_json(tmp_path, "single.json", SINGLE_GAUSSIAN)
-        args = ["estimate", "--spec", spec, "--mc", "10", "--seed", "-1"]
+        mc = ["--mc", "10"] if command == "estimate" else []
+        args = ["estimate", "--spec", spec, *mc, "--seed", "-1"]
     else:
         args = ["sweep", "--experiment", "g1", "--seed", "-1", "--mc", "10", "--n", "2",
                 "--grid", "0:1:2"]

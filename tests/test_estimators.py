@@ -20,6 +20,7 @@ from mixent import (
     GaussianComponent,
     Grouping,
     InsufficientSamples,
+    MixtureError,
     MixtureModel,
     UniformBox,
     UnsupportedDistance,
@@ -71,13 +72,14 @@ def two_far_apart() -> MixtureModel:
 def test_chernoff_distance_factory_validates_order():
     assert chernoff_distance(0.5) == BHATTACHARYYA
     assert chernoff_distance(0.25) == DistanceKind("chernoff", 0.25)
-    for alpha in (-0.1, 1.1):
+    assert chernoff_distance(np.float64(0.25)) == DistanceKind("chernoff", 0.25)
+    for alpha in (-0.1, 1.1, True, "0.3"):
         with pytest.raises(AlphaOutOfRange):
             chernoff_distance(alpha)
 
 
 def test_distance_kind_refuses_bad_orders_at_construction():
-    for alpha in (None, -0.1, 1.5, math.nan):
+    for alpha in (None, -0.1, 1.5, math.nan, True, "0.5"):
         with pytest.raises(AlphaOutOfRange):
             DistanceKind("chernoff", alpha)
 
@@ -414,7 +416,7 @@ def test_gap_bound_alpha_range():
     rng = np.random.default_rng(15)
     mix = random_gaussian_mixture(rng, 3, 2)
     grouping = Grouping(mix, [0, 1, 2])
-    for alpha in (0.0, -0.5, 1.0001):
+    for alpha in (0.0, -0.5, 1.0001, True, "0.3"):
         with pytest.raises(AlphaOutOfRange):
             clustered_gap_bound(mix, grouping, alpha)
 
@@ -552,6 +554,10 @@ def test_estimate_all_refuses_too_few_monte_carlo_samples():
     for samples in (0, 1, 10.9, np.float64(3.9), "10", True):
         with pytest.raises(InsufficientSamples):
             estimate_all(mix, mc_samples=samples)
+    # The seed is checked even when no Monte Carlo runs.
+    for seed in (-1, 1.5, "x", True):
+        with pytest.raises(MixtureError, match="seed must be"):
+            estimate_all(mix, seed=seed)
 
 
 def test_report_repr_is_pinned_and_frozen():

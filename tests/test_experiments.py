@@ -242,13 +242,29 @@ def test_run_sweep_values_keep_the_bracket_order():
         assert cells["H_BD"] - 4.0 * mc.stderr <= mc.value <= cells["H_KL"] + 4.0 * mc.stderr
 
 
-def test_run_sweep_validation():
-    with pytest.raises(MixtureError):
-        run_sweep(small_config(experiment="g7"))
-    with pytest.raises(MixtureError):
-        run_sweep(small_config(n_components=0))
-    with pytest.raises(MixtureError):
-        run_sweep(small_config(mc_samples=1))
+def test_run_sweep_validation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator ran")
+
+    # Every refusal comes before a mixture is built; no count or seed is
+    # truncated or parsed from a string.
+    for name in [name for name in vars(experiments) if name.startswith("gen_")]:
+        monkeypatch.setattr(experiments, name, refuse)
+    for overrides in (
+        dict(experiment="g7"),
+        dict(n_components=0),
+        dict(mc_samples=1),
+        dict(mc_samples="10"),
+        dict(mc_samples=10.5),
+        dict(seed=1.5),
+        dict(seed=True),
+        dict(n_components=2.5),
+        dict(n_components="3"),
+        dict(dim=1.5),
+        dict(experiment="g3", clusters=2.5),
+    ):
+        with pytest.raises(MixtureError):
+            run_sweep(small_config(**overrides))
 
 
 def test_run_sweep_refuses_a_negative_seed():

@@ -335,9 +335,11 @@ def test_sampling_single_draw_shape():
 
 @pytest.mark.parametrize("bad", [2.5, np.float64(2.0), -1, np.int64(-3), "3", True])
 def test_sampling_refuses_a_count_that_is_not_a_non_negative_integer(bad):
+    # The component samplers follow the mixture's rule: no count is truncated.
     mix = MixtureModel([1.0], [std_normal(2)])
-    with pytest.raises(InsufficientSamples):
-        mix.sample(np.random.default_rng(0), bad)
+    for sampler in (mix, std_normal(2), UniformBox([0.0, 0.0], [1.0, 2.0])):
+        with pytest.raises(InsufficientSamples):
+            sampler.sample(np.random.default_rng(0), bad)
 
 
 def test_sampling_takes_numpy_integer_counts_and_zero():
@@ -414,6 +416,14 @@ def test_grouping_weights_and_counts():
     total = math.fsum(grouping.group_weights.values())
     assert math.isclose(total, 1.0, abs_tol=1e-12)
     assert grouping.n_groups == 3
+    # A label is any integer, negative ones included, but never a rounded float,
+    # a string or a bool.
+    negative = Grouping(mix, np.array([-3, -3, 0, 0, 7, 7], dtype=np.int8))
+    assert negative.assignment == (-3, -3, 0, 0, 7, 7)
+    assert list(negative.group_weights.values()) == list(grouping.group_weights.values())
+    for labels in ([0, 0, 1, 1, 2, 2.5], ["0", "0", "1", "1", "2", "2"], [True, False] * 3):
+        with pytest.raises(MixtureError):
+            Grouping(mix, labels)
 
 
 def test_grouping_ignores_zero_weight_groups():

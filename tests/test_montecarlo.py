@@ -212,6 +212,9 @@ def test_quad_input_validation():
     mix = std_normal_mixture()
     with pytest.raises(InsufficientSamples):
         quad_entropy_1d(mix, -12.0, 12.0, points=99)
+    for points in (10001.9, "10001", True):  # refused, not truncated or parsed
+        with pytest.raises(InsufficientSamples, match="must be an integer"):
+            quad_entropy_1d(mix, -12.0, 12.0, points=points)
     with pytest.raises(MixtureError):
         quad_entropy_1d(mix, 2.0, -2.0)
     wide = MixtureModel([1.0], [GaussianComponent(np.zeros(2), np.eye(2))])
@@ -277,6 +280,9 @@ def test_cross_term_validation():
         quad_cross_term_1d(a, a, "chernoff", alpha=1.0)
     with pytest.raises(InsufficientSamples):
         quad_cross_term_1d(a, a, "product", points=11)
+    for points in (10001.9, "10001", True):
+        with pytest.raises(InsufficientSamples, match="must be an integer"):
+            quad_cross_term_1d(a, a, "product", points=points)
     wide = GaussianComponent(np.zeros(2), np.eye(2))
     with pytest.raises(NotOneDimensional):
         quad_cross_term_1d(wide, wide, "product")

@@ -88,6 +88,28 @@ def test_one_draw_route_in_the_mixture():
     assert Counter(name for name, _ in draws(package / "mixture.py")) == {"choice": 1, "sample": 1}
 
 
+def test_counts_are_checked_not_truncated():
+    # Counts and seeds go through _numeric.as_count, which refuses 2.5, "3"
+    # and True; int() on a parameter would quietly take them as 2, 3 and 1.
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    sources = sorted(Path(mixent.__file__).parent.glob("*.py"))
+    assert any(path.name == "_numeric.py" for path in sources)
+    found = {
+        f"{path.name}:{node.lineno} int({node.args[0].id})"
+        for path in sources
+        if path.name != "_numeric.py"
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(func, functions)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "int"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id in {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+    }
+    assert not found, f"int() on a parameter: {sorted(found)}"
+
+
 def test_component_classes_share_one_pair_contract():
     # The estimators reach a family only through these three matrix kernels.
     contract = {"kl_matrix", "chernoff_matrix", "half_matrices"}
