@@ -1,9 +1,12 @@
-"""Shared numeric helpers: the one rule for counts, order-stable summation,
-careful log-sum-exp and the package's one triangular solve, on stacked vectors."""
+"""Shared numeric helpers: the one rule for counts and for real orders,
+order-stable summation, careful log-sum-exp (the row form sums each row
+exactly from integer limbs, bit for bit as math.fsum would) and the
+package's one triangular solve, on stacked vectors."""
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -21,6 +24,11 @@ def as_count(value, least: int, what: str, error=InsufficientSamples) -> int:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise error(f"{what} must be {bound}, got {value}")
     return int(value)
+
+
+def is_real(value) -> bool:
+    """Whether value is a Python or NumPy real number, not a bool or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def as_points(x, dim: int, owner: str):
@@ -55,15 +63,49 @@ def forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+# Bits per limb of the exact row sums.  An entry in [0, 1] gives two limbs
+# of at most 2^40 each, so a row's int64 limb sum is exact below 2^23 entries.
+_LIMB_BITS = 40
+_LIMB = float(1 << _LIMB_BITS)
+_MAX_LIMB_ROW = 1 << 23
+
+
 def log_sum_exp_rows(matrix: np.ndarray) -> np.ndarray:
     """Max-shifted log-sum-exp along each row of a 2-D float array, in place
-    like :func:`log_sum_exp_axis0`.  One math.fsum per row makes a row's result
-    independent of the order of its entries; an all-(-inf) row maps to -inf.
+    like :func:`log_sum_exp_axis0`; an all-(-inf) row maps to -inf.
+
+    Each row's exponentials are summed with correct rounding, as one
+    math.fsum per row would sum them, so a row's result does not depend on
+    the order of its entries.  After the shift a finite row holds entries in
+    [0, 1] and an exact 1.  Two limbs, floor(x 2^40) and floor of the
+    remainder times 2^40, are summed per row as int64 and joined into one
+    int v, which holds the row's sum down to 2^-80; the bits dropped below
+    come to less than n 2^-80 for n entries.  So float(v) 2^-80 is the
+    correctly rounded sum when float(v) == float(v + n); a row that fails
+    that test, a non-finite row and a matrix with rows of 2^23 or more
+    entries are summed by :func:`fsum` instead.
     """
     m = matrix.max(axis=1)
-    shift = np.where(np.isfinite(m), m, 0.0)
+    finite = np.isfinite(m)
+    shift = np.where(finite, m, 0.0)
     matrix -= shift[:, None]
-    totals = [math.fsum(row.tolist()) for row in np.exp(matrix, out=matrix)]
+    np.exp(matrix, out=matrix)
+    n = matrix.shape[1]
+    settled = [None] * matrix.shape[0]
+    if n < _MAX_LIMB_ROW:
+        frac = matrix * _LIMB
+        frac[~finite] = 0.0  # such rows are left to fsum below
+        limb = np.empty_like(frac)
+        np.floor(frac, out=limb)
+        high = limb.sum(axis=1, dtype=np.int64).tolist()
+        frac -= limb
+        frac *= _LIMB
+        low = np.floor(frac, out=limb).sum(axis=1, dtype=np.int64).tolist()
+        for r, (h, lo) in enumerate(zip(high, low)):
+            v = (h << _LIMB_BITS) + lo
+            if float(v) == float(v + n):
+                settled[r] = math.ldexp(float(v), -2 * _LIMB_BITS)
+    totals = [fsum(matrix[r]) if t is None else t for r, t in enumerate(settled)]
     return np.array([s + math.log(t) if t else NEG_INF for s, t in zip(shift.tolist(), totals)])
 
 

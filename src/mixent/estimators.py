@@ -14,12 +14,11 @@ mixture entropy and any Chernoff-order choice is a lower bound, with order
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import as_count, fsum, log_sum_exp_rows
+from ._numeric import as_count, fsum, is_real, log_sum_exp_rows
 from .errors import AlphaOutOfRange, BoundViolated, MixtureError, UnsupportedDistance
 # Re-exported, not called here: ``mixent.estimators.gaussian_kl`` was a public
 # name before the component methods, and bench/tests/test_bench.py reads it.
@@ -43,8 +42,7 @@ class DistanceKind:
         if self.name == "kl" and self.alpha is not None:
             raise AlphaOutOfRange(f"kl takes no order, got {self.alpha}")
         if self.name == "chernoff":  # any real order, kept as a float; not "0.3" or True
-            real = isinstance(self.alpha, numbers.Real) and not isinstance(self.alpha, bool)
-            if not (real and 0.0 <= self.alpha <= 1.0):
+            if not (is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
                 raise AlphaOutOfRange(f"chernoff order {self.alpha!r} is not a real in [0, 1]")
             object.__setattr__(self, "alpha", float(self.alpha))
 
@@ -70,8 +68,18 @@ def pairwise_distance_matrix(mixture: MixtureModel, kind: DistanceKind) -> np.nd
     return type(comps[0]).chernoff_matrix(comps, kind.alpha)
 
 
-def _estimate_from_matrix(mixture: MixtureModel, dmat: np.ndarray) -> float:
-    """The estimator value for a prebuilt distance matrix.
+def _active(mixture: MixtureModel, matrix: np.ndarray):
+    """(weights, matrix) restricted to the positive-weight components; the
+    matrix is not copied when every weight is positive."""
+    active = mixture.active_indices()
+    if active.size < matrix.shape[0]:
+        matrix = matrix[np.ix_(active, active)]
+    return mixture.weights[active], matrix
+
+
+def _mixing_term(mixture: MixtureModel, dmat: np.ndarray) -> float:
+    """sum_i c_i min(0, ln sum_j c_j exp(-D_ij)) for a prebuilt distance
+    matrix: the estimator is the conditional entropy minus this term.
 
     Over positive-weight components, each inner log-sum-exp of ln c_j - D_ij
     is capped at zero (the weights sum to one), and a row of zero distances
@@ -79,12 +87,15 @@ def _estimate_from_matrix(mixture: MixtureModel, dmat: np.ndarray) -> float:
     the floor-and-ceiling bracket exact in floating point as well, and makes
     an all-zero matrix (Chernoff orders 0 and 1) give exactly the floor.
     """
-    active = mixture.active_indices()
-    weights = mixture.weights[active]
-    dists = dmat[np.ix_(active, active)]
+    weights, dists = _active(mixture, dmat)
     inner = log_sum_exp_rows(np.log(weights) - dists)
     inner[~dists.any(axis=1)] = 0.0
-    return mixture.conditional_entropy() - fsum(weights * np.minimum(inner, 0.0))
+    return fsum(weights * np.minimum(inner, 0.0))
+
+
+def _estimate_from_matrix(mixture: MixtureModel, dmat: np.ndarray) -> float:
+    """The estimator value for a prebuilt distance matrix."""
+    return mixture.conditional_entropy() - _mixing_term(mixture, dmat)
 
 
 def pairwise_estimate(mixture: MixtureModel, kind: DistanceKind) -> float:
@@ -118,9 +129,8 @@ def kde_estimate(mixture: MixtureModel) -> float:
 
 def _elk_from_matrix(mixture: MixtureModel, log_cross: np.ndarray) -> float:
     """The ELK baseline for a prebuilt matrix of ln int p_i p_j."""
-    active = mixture.active_indices()
-    weights = mixture.weights[active]
-    return -fsum(weights * log_sum_exp_rows(np.log(weights) + log_cross[np.ix_(active, active)]))
+    weights, log_cross = _active(mixture, log_cross)
+    return -fsum(weights * log_sum_exp_rows(np.log(weights) + log_cross))
 
 
 def elk_estimate(mixture: MixtureModel) -> float:
@@ -188,16 +198,19 @@ def estimate_all(
     Monte Carlo is included only when mc_samples is given (it must then be at
     least 2); seed feeds its substream derivation and nothing else, but is
     checked as in :func:`mc_entropy` either way.  The Bhattacharyya and ELK
-    matrices come from one order-1/2 pass of the family's ``half_matrices``.
+    matrices come from one order-1/2 pass of the family's ``half_matrices``,
+    and the conditional entropy is computed once for h_cond, h_joint and
+    h_bd.  Each field is bitwise its standalone function's value.
     """
     seed = as_count(seed, 0, "seed", MixtureError)
     mc = mc_entropy(mixture, mc_samples, seed) if mc_samples is not None else None
     comps = mixture.components
     bd, log_cross = type(comps[0]).half_matrices(comps)
+    h_cond = mixture.conditional_entropy()
     return EstimateReport(
-        h_cond=mixture.conditional_entropy(),
-        h_joint=mixture.joint_entropy_upper(),
-        h_bd=_estimate_from_matrix(mixture, bd),
+        h_cond=h_cond,
+        h_joint=h_cond + mixture.weight_entropy(),
+        h_bd=h_cond - _mixing_term(mixture, bd),
         h_kl=upper_bound_kl(mixture),
         h_kde=kde_estimate(mixture),
         h_elk=_elk_from_matrix(mixture, log_cross),

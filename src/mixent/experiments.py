@@ -196,7 +196,9 @@ def log_grid(experiment: str, lo: float, hi: float, steps: int) -> tuple[float, 
 
     Both default_grid and ``mixent sweep --grid lo:hi:steps`` build grids here.
     Non-finite values pass through quietly; SweepConfig.resolved_grid refuses them.
+    steps must be an integer of at least 1, not a bool, or MixtureError is raised.
     """
+    steps = as_count(steps, 1, "the number of grid steps", MixtureError)
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.exp(np.linspace(lo, hi, steps))
     if _lookup(experiment).sweeps_dim:

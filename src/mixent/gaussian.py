@@ -8,7 +8,8 @@ multiplies a block of columns' L_j^-1 by every mean difference and every
 factor at once.  A batch of points is laid out with the points on the last
 axis, and a mixture makes that transposed copy once for all its components;
 each component then costs one subtraction, one (d, d) by (d, n) matrix
-product and a sum over d rows, written into the caller's row.
+product and a sum over d rows, in two work buffers shared by all the
+components and written into the caller's row.
 The other pairwise matrix kernels go through one pair-block driver, which
 factors each pair's blended covariance in stacked blocks of pairs and forms
 the Chernoff divergence of the blend's order.  It takes each self term from
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from ._numeric import as_count, as_points, forward_substitute
+from ._numeric import as_count, as_points, forward_substitute, is_real
 from .errors import AlphaOutOfRange, DimensionMismatch, NonFiniteValue, NotPositiveDefinite
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -99,28 +100,45 @@ class GaussianComponent:
     def log_density(self, x):
         """Log density at one point of shape (d,) or a batch of shape (n, d)."""
         pts, single = as_points(x, self.dim, "component")
-        out = np.empty(pts.shape[0])
-        self._log_density_cols(pts.T, out)
-        return float(out[0]) if single else out
+        out = np.empty((1, pts.shape[0]))
+        self._log_density_rows((self,), pts.shape[0])(pts.T, out)
+        return float(out[0, 0]) if single else out[0]
 
-    def _log_density_cols(self, cols, out):
-        """Write into ``out`` (n,) the log density of the points in the columns
-        of ``cols`` (d, n), checked by ``as_points``.  ``cols`` is only read,
-        so a mixture passes every component one contiguous copy of a block;
-        a transposed view gives the same bits, because the difference from
-        the mean is formed in C order either way.
+    @classmethod
+    def _log_density_rows(cls, comps, width: int):
+        """fill(cols, rows): write into row k of ``rows`` (K, b) the log
+        density of comps[k] at the points in the columns of ``cols`` (d, b),
+        b <= width, checked by ``as_points``, and return ``rows``.  ``cols``
+        is only read, so a mixture passes one contiguous copy of a block; a
+        transposed view gives the same bits.
 
         The quadratic form is |L^-1 (x - mean)|^2, formed with the points on
-        the last axis so that every elementwise pass runs along n, not d.
+        the last axis so that every elementwise pass runs along b, not d.
         The mean is subtracted before the product: expanding it as
         L^-1 x - L^-1 mean cancels badly for means far from the origin.
+        Two (d, width) work buffers, allocated here once, hold the
+        difference and the product of every component, each as one
+        contiguous (d, b) array; the constants are added to all K rows in
+        one pass after the loop.
         """
-        z = self.inv_chol @ np.subtract(cols, self.mean[:, None], order="C")
-        with np.errstate(over="ignore"):  # +inf is exact; see _mahalanobis_sq
-            np.square(z, out=z).sum(axis=0, out=out)
-        out += self.log_det
-        out += self.dim * _LOG_2PI
-        out *= -0.5
+        d = comps[0].dim
+        diff_buf, z_buf = np.empty((2, d * width))
+        log_dets = np.array([c.log_det for c in comps])[:, None]
+
+        def fill(cols, rows):
+            b = cols.shape[1]
+            diff, z = diff_buf[: d * b].reshape(d, b), z_buf[: d * b].reshape(d, b)
+            with np.errstate(over="ignore"):  # +inf is exact; see _mahalanobis_sq
+                for comp, row in zip(comps, rows):
+                    np.subtract(cols, comp.mean[:, None], out=diff)
+                    np.matmul(comp.inv_chol, diff, out=z)
+                    np.square(z, out=z).sum(axis=0, out=row)
+            rows += log_dets
+            rows += d * _LOG_2PI
+            rows *= -0.5
+            return rows
+
+        return fill
 
     def sample(self, rng, size=None):
         """Draw one vector (size=None) or a (size, d) batch using mean + L z."""
@@ -193,8 +211,8 @@ def gaussian_chernoff(a: GaussianComponent, b: GaussianComponent, alpha: float) 
     value is exactly zero.  Orders outside [0, 1] do not give a valid
     pairwise distance (the integral exceeds one) and are rejected.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise AlphaOutOfRange(f"chernoff order must lie in [0, 1], got {alpha}")
+    if not (is_real(alpha) and 0.0 <= alpha <= 1.0):
+        raise AlphaOutOfRange(f"chernoff order must be a real in [0, 1], got {alpha!r}")
     _check_pair(a, b)
     if alpha == 0.0 or alpha == 1.0:
         return 0.0

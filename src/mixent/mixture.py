@@ -128,18 +128,18 @@ class MixtureModel:
 
         The function takes the points as the columns of a (d, b) array,
         b <= min(n, _BLOCK + 1), unchecked and only read, and returns their
-        log densities (b,).  Every active component writes its row of one
-        K x block buffer, allocated here once; ln c_k is added, and the
-        buffer is reduced by a log-sum-exp in place.
+        log densities (b,).  The family's block routine writes every active
+        component's row of one K x block buffer, allocated here once; ln c_k
+        is added, and the buffer is reduced by a log-sum-exp in place.
         """
         active = self.active_indices()
         log_weights = np.log(self.weights[active])[:, None]
         rows = np.empty((active.size, min(n, _BLOCK + 1)))
+        comps = [self.components[k] for k in active]
+        fill = type(comps[0])._log_density_rows(comps, rows.shape[1])
 
         def evaluate(cols):
-            buf = rows[:, : cols.shape[1]]
-            for row, k in enumerate(active):
-                self.components[k]._log_density_cols(cols, buf[row])
+            buf = fill(cols, rows[:, : cols.shape[1]])
             buf += log_weights
             return log_sum_exp_axis0(buf)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import as_count, fsum
-from .errors import MixtureError, NotOneDimensional
+from ._numeric import as_count, fsum, is_real
+from .errors import AlphaOutOfRange, MixtureError, NotOneDimensional
 from .mixture import MixtureModel
 from .uniform import UniformBox
 
@@ -163,8 +163,8 @@ def quad_cross_term_1d(p, q, kind: str, alpha: float | None = None, points: int 
         raise NotOneDimensional("cross-term quadrature needs 1-D components")
     points = as_count(points, _MIN_POINTS, "the number of quadrature points")
     if kind == "chernoff":
-        if alpha is None or not 0.0 < alpha < 1.0:
-            raise MixtureError(f"chernoff integrand needs alpha in (0, 1), got {alpha}")
+        if not (is_real(alpha) and 0.0 < alpha < 1.0):
+            raise AlphaOutOfRange(f"chernoff integrand needs a real alpha in (0, 1), got {alpha!r}")
     elif kind not in ("product", "sqrt_product", "kl"):
         raise MixtureError(f"unknown integrand kind {kind!r}")
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ._numeric import NEG_INF, as_count, as_points, fsum
+from ._numeric import NEG_INF, as_count, as_points, fsum, is_real
 from .errors import AlphaOutOfRange, DegenerateBox, DimensionMismatch, NonFiniteValue
 
 
@@ -53,15 +53,25 @@ class UniformBox:
     def log_density(self, x):
         """-log_volume inside the closed box, -inf outside; accepts (d,) or (n, d)."""
         pts, single = as_points(x, self.dim, "component")
-        out = np.empty(pts.shape[0])
-        self._log_density_cols(pts.T, out)
-        return float(out[0]) if single else out
+        out = np.empty((1, pts.shape[0]))
+        self._log_density_rows((self,), pts.shape[0])(pts.T, out)
+        return float(out[0, 0]) if single else out[0]
 
-    def _log_density_cols(self, cols, out):
-        """Write into ``out`` (n,) the log density of the points in the columns
-        of ``cols`` (d, n), checked by ``as_points``; ``cols`` is only read."""
-        inside = np.all((cols >= self.lower[:, None]) & (cols <= self.upper[:, None]), axis=0)
-        out[...] = np.where(inside, -self.log_volume, NEG_INF)
+    @classmethod
+    def _log_density_rows(cls, comps, width: int):
+        """fill(cols, rows): write into row k of ``rows`` (K, b) the log
+        density of comps[k] at the points in the columns of ``cols`` (d, b),
+        b <= width, checked by ``as_points``, and return ``rows``; ``cols``
+        is only read."""
+
+        def fill(cols, rows):
+            for comp, row in zip(comps, rows):
+                lower, upper = comp.lower[:, None], comp.upper[:, None]
+                inside = np.all((cols >= lower) & (cols <= upper), axis=0)
+                row[...] = np.where(inside, -comp.log_volume, NEG_INF)
+            return rows
+
+        return fill
 
     def sample(self, rng, size=None):
         n = 1 if size is None else as_count(size, 0, "the number of samples")
@@ -106,8 +116,8 @@ def uniform_chernoff(a: UniformBox, b: UniformBox, alpha: float) -> float:
     """Chernoff divergence -ln int a^alpha b^(1-alpha) dx for alpha in [0, 1]:
     alpha ln V_a + (1 - alpha) ln V_b - ln V_overlap, +inf if the boxes are
     disjoint.  As for Gaussians, the boundary orders give exactly zero."""
-    if not 0.0 <= alpha <= 1.0:
-        raise AlphaOutOfRange(f"chernoff order must lie in [0, 1], got {alpha}")
+    if not (is_real(alpha) and 0.0 <= alpha <= 1.0):
+        raise AlphaOutOfRange(f"chernoff order must be a real in [0, 1], got {alpha!r}")
     log_overlap = _log_overlap(a, b)
     if alpha == 0.0 or alpha == 1.0:
         return 0.0

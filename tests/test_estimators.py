@@ -107,11 +107,12 @@ def test_chernoff_contract_is_the_same_for_both_families(family):
     for alpha in (0.0, 1.0):
         assert chernoff(a, b, alpha) == 0.0
         assert chernoff(b, a, alpha) == 0.0
-    for alpha in (-0.1, 1.1):
+    for alpha in (-0.1, 1.1, True, "0.3"):
         with pytest.raises(AlphaOutOfRange):
             lower_bound_chernoff(mix, alpha)
         with pytest.raises(AlphaOutOfRange):
             chernoff(a, b, alpha)
+    assert chernoff(a, b, np.float64(0.5)) == chernoff(a, b, 0.5)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.1, 0.3, 0.5, 0.8]))
@@ -558,6 +559,31 @@ def test_estimate_all_refuses_too_few_monte_carlo_samples():
     for seed in (-1, 1.5, "x", True):
         with pytest.raises(MixtureError, match="seed must be"):
             estimate_all(mix, seed=seed)
+
+
+# What estimate_all shares across its fields (one order-1/2 pass, one
+# conditional entropy) must not move a bit from the standalone functions.
+STANDALONE_FIELDS = {
+    "h_cond": MixtureModel.conditional_entropy,
+    "h_joint": MixtureModel.joint_entropy_upper,
+    "h_bd": lower_bound_bd,
+    "h_kl": upper_bound_kl,
+    "h_kde": kde_estimate,
+    "h_elk": elk_estimate,
+}
+
+
+@pytest.mark.parametrize("zero_weight", [False, True], ids=["positive", "zero-weight"])
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_estimate_all_fields_are_bitwise_the_standalone_functions(family, zero_weight):
+    rng = np.random.default_rng([37, zero_weight, len(family)])
+    mix = random_mixture(rng, 12, 3, family, spread=1.0)
+    if zero_weight:  # the matrices are then cut down to the active components
+        mix = MixtureModel(np.insert(mix.weights[1:], 4, 0.0), mix.components)
+    assert (mix.active_indices().size < 12) == zero_weight
+    report = estimate_all(mix)
+    for field, standalone in STANDALONE_FIELDS.items():
+        assert getattr(report, field) == standalone(mix), field
 
 
 def test_report_repr_is_pinned_and_frozen():

@@ -30,7 +30,7 @@ from mixent import (
     write_csv,
 )
 from mixent import experiments
-from mixent.experiments import _point_seeds
+from mixent.experiments import _point_seeds, log_grid
 
 
 def small_config(**overrides) -> SweepConfig:
@@ -186,6 +186,15 @@ def test_default_dimension_grids_are_integers():
         assert grid[0] == 1.0 and grid[-1] == float(top)
         assert all(v == int(v) for v in grid)
         assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+def test_log_grid_refuses_a_step_count_that_is_not_a_positive_integer():
+    assert log_grid("g1", 0.0, 1.0, 1) == (1.0,)
+    assert log_grid("g1", 0.0, 1.0, np.int64(3)) == log_grid("g1", 0.0, 1.0, 3)
+    # True is not one step, 2.5 not two, "3" not three, and 0 not an empty grid.
+    for steps in (True, 2.5, "3", 0):
+        with pytest.raises(MixtureError, match="grid steps must be"):
+            log_grid("g1", 0.0, 1.0, steps)
 
 
 def test_default_grid_unknown_experiment():

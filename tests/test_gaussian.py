@@ -232,7 +232,8 @@ def test_kl_nonnegative(seed):
 
 def test_chernoff_rejects_orders_outside_unit_interval():
     a, b = random_pair(5)
-    for alpha in (-0.5, -1e-9, 1.0 + 1e-9, 1.5):
+    # True is not taken as order 1, nor "0.3" compared as a string.
+    for alpha in (-0.5, -1e-9, 1.0 + 1e-9, 1.5, True, "0.3"):
         with pytest.raises(AlphaOutOfRange):
             gaussian_chernoff(a, b, alpha)
 

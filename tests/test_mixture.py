@@ -1,6 +1,7 @@
 """Mixture container: validation, weight handling, densities, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,26 @@ def test_log_density_is_bitwise_the_per_component_sum(family, n):
         ref = shift + np.log(np.exp(terms - shift).sum(axis=0))
     assert np.array_equal(mix.log_density(points), ref)
     assert np.array_equal(points, before)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_block_log_density_allocates_no_block_array_per_component(family):
+    # The family's block routine makes no float (d, b) array per component
+    # (the Gaussian one works in two buffers made once per mixture call), so
+    # one block of K = 8 components peaks below a single such array.
+    dim, k = 40, 8
+    rng = np.random.default_rng([dim, len(family)])
+    mix = random_mixture(rng, k, dim, family)
+    cols = np.ascontiguousarray(mix.sample(rng, _BLOCK).T)
+    evaluate = mix._block_log_density(_BLOCK)
+    tracemalloc.start()
+    try:
+        values = evaluate(cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(values).all()
+    assert peak < 8 * dim * _BLOCK, peak
 
 
 @pytest.mark.parametrize("dim", [1, 5, 60])

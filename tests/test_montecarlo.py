@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mixent import (
+    AlphaOutOfRange,
     GaussianComponent,
     InsufficientSamples,
     McResult,
@@ -278,6 +279,10 @@ def test_cross_term_validation():
         quad_cross_term_1d(a, a, "chernoff")
     with pytest.raises(MixtureError):
         quad_cross_term_1d(a, a, "chernoff", alpha=1.0)
+    for alpha in (True, "0.3"):  # not taken as order 1, nor compared as a string
+        with pytest.raises(AlphaOutOfRange):
+            quad_cross_term_1d(a, a, "chernoff", alpha=alpha)
+    assert quad_cross_term_1d(a, a, "chernoff", alpha=np.float64(0.3)) > 0.0
     with pytest.raises(InsufficientSamples):
         quad_cross_term_1d(a, a, "product", points=11)
     for points in (10001.9, "10001", True):

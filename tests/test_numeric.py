@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import mixent._numeric
 from mixent._numeric import forward_substitute, log_sum_exp_axis0, log_sum_exp_rows
 from support import cov_with_condition
 
@@ -120,13 +121,50 @@ def test_log_sum_exp_axis0_in_place_equals_the_out_of_place_formula_bitwise(rows
     assert np.array_equal(matrix, np.exp(original - shift))
 
 
-@pytest.mark.parametrize("rows", [1, 2, 7, 100])
-def test_log_sum_exp_rows_equals_a_per_row_fsum_reference_bitwise(rows):
+def _scattered_rows(rows, width=301, low=-800.0, high=50.0):
+    """Uniform values with 30% -inf and one all-(-inf) row."""
     rng = np.random.default_rng([rows, 2])
-    matrix = rng.uniform(-800.0, 50.0, (rows, 301))
+    matrix = rng.uniform(low, high, (rows, width))
     matrix[rng.uniform(size=matrix.shape) < 0.3] = -np.inf
     matrix[rows // 2] = -np.inf
-    original = matrix.copy()
+    return matrix
+
+
+def _rounding_tie_row():
+    """[0, x] with exp(x) just above 2^-53: the exact row sum lies less than
+    2^-80 above the tie 1 + 2^-53, so the limbs cannot settle it."""
+    x = math.log(2.0**-53)
+    while math.exp(x) <= 2.0**-53:
+        x = np.nextafter(x, 0.0)
+    assert math.exp(x) < 2.0**-53 * (1.0 + 2.0**-26)
+    return np.array([[0.0, x], [x, 0.0], [0.0, -1.0]])
+
+
+def _subnormal_rows():
+    rng = np.random.default_rng(5)
+    matrix = rng.uniform(-745.0, -708.5, (6, 400))  # exp(x - 0) is subnormal
+    matrix[:, 7] = 0.0
+    matrix[3, 8:] = -744.0  # equal subnormal exponentials beside the 1
+    return matrix
+
+
+LSE_ROWS_CASES = {
+    "1": lambda: _scattered_rows(1),
+    "2": lambda: _scattered_rows(2),
+    "7": lambda: _scattered_rows(7),
+    "100": lambda: _scattered_rows(100),
+    "width-1": lambda: _scattered_rows(9, width=1),
+    "width-2": lambda: _scattered_rows(9, width=2),
+    "width-1000": lambda: _scattered_rows(30, width=1000),
+    "spread-40x": lambda: _scattered_rows(31, low=-32_000.0, high=2_000.0),
+    "equal-entries": lambda: np.repeat([[3.7], [-2.5e5], [0.0], [-np.inf], [1e-300]], 513, axis=1),
+    "subnormal": _subnormal_rows,
+    "fallback": _rounding_tie_row,
+}
+
+
+def _fsum_reference(original):
+    """(log-sum-exps, shifted exponentials) of each row, one math.fsum per row."""
     expected, shifted = [], []
     for row in original:
         top = row.max()
@@ -136,10 +174,45 @@ def test_log_sum_exp_rows_equals_a_per_row_fsum_reference_bitwise(rows):
             continue
         shifted.append(np.exp(row - top))
         expected.append(top + math.log(math.fsum(shifted[-1].tolist())))
+    return expected, shifted
+
+
+def _count_fallbacks(monkeypatch):
+    """The lengths of the rows that log_sum_exp_rows leaves to fsum."""
+    fallbacks = []
+
+    def counted(values):
+        fallbacks.append(len(values))
+        return math.fsum(values.tolist())
+
+    monkeypatch.setattr(mixent._numeric, "fsum", counted)
+    return fallbacks
+
+
+@pytest.mark.parametrize("rows", sorted(LSE_ROWS_CASES))
+def test_log_sum_exp_rows_equals_a_per_row_fsum_reference_bitwise(monkeypatch, rows):
+    matrix = LSE_ROWS_CASES[rows]()
+    original = matrix.copy()
+    expected, shifted = _fsum_reference(original)
+    fallbacks = _count_fallbacks(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = log_sum_exp_rows(matrix)
     assert np.array_equal(got, expected)
-    assert got[rows // 2] == -np.inf and np.isfinite(got).sum() == rows - 1
+    assert np.array_equal(np.isneginf(got), np.isneginf(original).all(axis=1))
     # The argument is overwritten with the shifted exponentials.
     assert np.array_equal(matrix, shifted)
+    if rows == "fallback":  # both tie rows are summed by fsum
+        assert len(fallbacks) >= 2
+
+
+def test_log_sum_exp_rows_sums_rows_too_long_for_the_limbs_with_fsum(monkeypatch):
+    # Rows of 2^23 entries could overflow the int64 limb sums; such a matrix
+    # is summed by fsum row by row.  A lower threshold stands in for the size.
+    matrix = _scattered_rows(7)
+    expected, shifted = _fsum_reference(matrix.copy())
+    fallbacks = _count_fallbacks(monkeypatch)
+    monkeypatch.setattr(mixent._numeric, "_MAX_LIMB_ROW", matrix.shape[1])
+    assert np.array_equal(log_sum_exp_rows(matrix), expected)
+    assert np.array_equal(matrix, shifted)
+    assert fallbacks == [matrix.shape[1]] * 7

@@ -111,8 +111,8 @@ def test_counts_are_checked_not_truncated():
 
 
 def test_component_classes_share_one_pair_contract():
-    # The estimators reach a family only through these three matrix kernels.
-    contract = {"kl_matrix", "chernoff_matrix", "half_matrices"}
+    # The family contract: the three matrix kernels and the block log-density.
+    contract = {"kl_matrix", "chernoff_matrix", "half_matrices", "_log_density_rows"}
     for family in (mixent.GaussianComponent, mixent.UniformBox):
         found = {name for name, value in vars(family).items() if isinstance(value, classmethod)}
         assert found == contract, family.__name__
