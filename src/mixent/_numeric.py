@@ -1,7 +1,12 @@
-"""Shared numeric helpers: the one rule for counts and for real orders,
-order-stable summation, careful log-sum-exp (the row form sums each row
-exactly from integer limbs, bit for bit as math.fsum would) and the
-package's one triangular solve, on stacked vectors."""
+"""Shared numeric helpers: the one intake rule for each kind of argument
+(counts, float arrays, Chernoff orders, component pairs), order-stable
+summation, careful log-sum-exp (the row form sums each row exactly from
+integer limbs, bit for bit as math.fsum would) and the package's one
+triangular solve, on stacked vectors.
+
+Every constructor and scalar function reads its arguments through these
+rules, so a boolean is refused wherever a number is taken, by the library
+and the JSON loader alike."""
 
 from __future__ import annotations
 
@@ -10,7 +15,8 @@ import numbers
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientSamples, NonFiniteValue
+from .errors import (AlphaOutOfRange, DimensionMismatch, InsufficientSamples, MixtureError,
+                     NonFiniteValue)
 
 NEG_INF = float("-inf")
 
@@ -26,26 +32,66 @@ def as_count(value, least: int, what: str, error=InsufficientSamples) -> int:
     return int(value)
 
 
-def is_real(value) -> bool:
-    """Whether value is a Python or NumPy real number, not a bool or a string."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _holds_bool(value) -> bool:
+    """Whether value is a bool or holds one: an ndarray by its dtype (an object
+    array by its entries), a list or tuple by walking its entries."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind != "O":
+            return value.dtype.kind == "b"
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_))
+
+
+def as_floats(value, what: str) -> np.ndarray:
+    """value as a float array of finite entries.
+
+    A bool anywhere in it, or anything ``np.asarray(value, dtype=float)``
+    cannot convert (strings that are not numbers, complex or ragged entries,
+    nesting too deep to walk), raises a plain :class:`MixtureError`,
+    "malformed <what>: ..."; a NaN or infinite entry raises
+    :class:`NonFiniteValue`.  ``what`` names the argument in the message.
+    """
+    try:
+        if _holds_bool(value):
+            raise TypeError("booleans are not numbers")
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise MixtureError(f"malformed {what}: {exc}") from None
+    if not np.isfinite(array).all():
+        raise NonFiniteValue(f"{what} must be finite")
+    return array
+
+
+def as_order(alpha) -> float:
+    """alpha as a float if it is a Python or NumPy real in [0, 1], not a bool
+    or a string; anything else raises :class:`AlphaOutOfRange`.  Orders outside
+    [0, 1] give no valid Chernoff bound."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
+        raise AlphaOutOfRange(f"chernoff order must be a real in [0, 1], got {alpha!r}")
+    return float(alpha)
+
+
+def check_pair(a, b) -> None:
+    """Refuse two components of different dimensions with :class:`DimensionMismatch`."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"component dimensions differ: {a.dim} vs {b.dim}")
 
 
 def as_points(x, dim: int, owner: str):
     """(points, single): x as a float (n, dim) batch, and whether it was one (dim,) point.
 
-    A trailing size other than ``dim`` (or more than two axes) raises
-    :class:`DimensionMismatch`; a NaN or infinite coordinate raises
-    :class:`NonFiniteValue`.  ``owner`` names the caller in the message.
+    x is read by :func:`as_floats`; a trailing size other than ``dim`` (or
+    more than two axes) raises :class:`DimensionMismatch`.  ``owner`` names
+    the caller in the message.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_floats(x, "point coordinates")
     pts = np.atleast_2d(x)
     if pts.ndim != 2 or pts.shape[-1] != dim:
         raise DimensionMismatch(
             f"point dimension {pts.shape[-1]} does not match {owner} dimension {dim}"
         )
-    if not np.isfinite(pts).all():
-        raise NonFiniteValue("point coordinates must be finite")
     return pts, x.ndim == 1
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import as_count, fsum, is_real, log_sum_exp_rows
+from ._numeric import as_count, as_order, fsum, log_sum_exp_rows
 from .errors import AlphaOutOfRange, BoundViolated, MixtureError, UnsupportedDistance
 # Re-exported, not called here: ``mixent.estimators.gaussian_kl`` was a public
 # name before the component methods, and bench/tests/test_bench.py reads it.
@@ -41,10 +41,8 @@ class DistanceKind:
             raise UnsupportedDistance(f"unknown distance kind {self.name!r}")
         if self.name == "kl" and self.alpha is not None:
             raise AlphaOutOfRange(f"kl takes no order, got {self.alpha}")
-        if self.name == "chernoff":  # any real order, kept as a float; not "0.3" or True
-            if not (is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
-                raise AlphaOutOfRange(f"chernoff order {self.alpha!r} is not a real in [0, 1]")
-            object.__setattr__(self, "alpha", float(self.alpha))
+        if self.name == "chernoff":
+            object.__setattr__(self, "alpha", as_order(self.alpha))
 
 
 KL = DistanceKind("kl")
@@ -152,8 +150,8 @@ def clustered_gap_bound(mixture: MixtureModel, grouping: Grouping, alpha: float)
     which collapses to kappa as the groups separate.  A measured gap above
     the returned value raises :class:`BoundViolated`.
     """
-    alpha = chernoff_distance(alpha).alpha  # a real order in [0, 1], as a float
-    if not 0.0 < alpha <= 1.0:
+    alpha = as_order(alpha)
+    if alpha == 0.0:
         raise AlphaOutOfRange(f"gap bound needs alpha in (0, 1], got {alpha}")
     kl = pairwise_distance_matrix(mixture, KL)
     bd = pairwise_distance_matrix(mixture, BHATTACHARYYA)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numeric import as_count
+from ._numeric import as_count, as_floats
 from .errors import DegreesOfFreedomTooSmall, MixtureError
 from .estimators import estimate_all
 from .gaussian import GaussianComponent
@@ -39,6 +39,12 @@ ESTIMATOR_ORDER = ("H_MC", "H_KL", "H_BD", "H_KDE", "H_ELK", "H_cond", "H_joint"
 CSV_HEADER = "experiment,param,estimator,value,stderr"
 
 
+def _check_sizes(n_components, dim) -> None:
+    # the generators' sizes, checked as run_sweep checks them
+    as_count(n_components, 1, "n_components", MixtureError)
+    as_count(dim, 1, "mixture dimension", MixtureError)
+
+
 def gen_gaussian_spread(n_components: int, dim: int, sigma: float, seed) -> MixtureModel:
     """Equal-weight unit-covariance components with means scattered at scale sigma.
 
@@ -46,6 +52,7 @@ def gen_gaussian_spread(n_components: int, dim: int, sigma: float, seed) -> Mixt
     deviation sigma, so sigma -> 0 collapses the mixture onto one component
     and large sigma separates all components completely.
     """
+    _check_sizes(n_components, dim)
     rng = np.random.default_rng(seed)
     means = sigma * rng.standard_normal((n_components, dim))
     eye = np.eye(dim)
@@ -60,6 +67,7 @@ def wishart_bartlett(rng, dim: int, dof: float, scale: float) -> np.ndarray:
     down to dof - dim + 1 degrees of freedom) and standard normal strict
     lower triangle; the draw is scale * A A^T.  Needs dof >= dim.
     """
+    as_count(dim, 1, "mixture dimension", MixtureError)
     if dof < dim:
         raise DegreesOfFreedomTooSmall(f"wishart needs dof >= dim, got dof={dof}, dim={dim}")
     a = np.zeros((dim, dim))
@@ -76,6 +84,7 @@ def gen_gaussian_wishart(n_components: int, dim: int, dof: float, seed) -> Mixtu
     dof / (10 + dof) times the identity and approaches the identity as the
     degrees of freedom grow.
     """
+    _check_sizes(n_components, dim)
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_components, dim))
     comps = [
@@ -113,6 +122,7 @@ def gen_gaussian_clustered(
     clusters uniformly at random, or in equal counts when balanced is set.
     Returns the mixture together with the cluster grouping.
     """
+    _check_sizes(n_components, dim)
     eye = np.eye(dim)
     return _gen_clustered(lambda center: GaussianComponent(center, eye),
                           n_components, dim, clusters, sigma, seed, balanced)
@@ -120,6 +130,7 @@ def gen_gaussian_clustered(
 
 def gen_uniform_spread(n_components: int, dim: int, sigma: float, seed) -> MixtureModel:
     """Equal-weight unit-half-width boxes centered at scattered means."""
+    _check_sizes(n_components, dim)
     rng = np.random.default_rng(seed)
     means = sigma * rng.standard_normal((n_components, dim))
     comps = [UniformBox(m - 1.0, m + 1.0) for m in means]
@@ -132,6 +143,7 @@ def gen_uniform_gamma(n_components: int, dim: int, sigma: float, seed) -> Mixtur
     Half-widths are Gamma(1 + sigma) draws with rate 1 + sigma, so their
     mean is one and their variance 1 / (1 + sigma) shrinks as sigma grows.
     """
+    _check_sizes(n_components, dim)
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_components, dim))
     shape = 1.0 + sigma
@@ -149,6 +161,7 @@ def gen_uniform_clustered(
     balanced: bool = False,
 ) -> tuple[MixtureModel, Grouping]:
     """Unit-half-width boxes sharing one of `clusters` centers exactly."""
+    _check_sizes(n_components, dim)
     return _gen_clustered(lambda center: UniformBox(center - 1.0, center + 1.0),
                           n_components, dim, clusters, sigma, seed, balanced)
 
@@ -221,8 +234,9 @@ class SweepConfig:
     """Configuration of one experiment sweep.
 
     grid=None selects the default grid for the experiment; grids must be
-    finite, strictly ascending and non-empty.  balanced_clusters forces equal
-    cluster counts in the clustered experiments.
+    one-dimensional, non-empty, strictly ascending and finite, and are read
+    as every float array is, so a bool or a non-numeric entry is refused.
+    balanced_clusters forces equal cluster counts in the clustered experiments.
     """
 
     experiment: str
@@ -236,14 +250,12 @@ class SweepConfig:
 
     def resolved_grid(self) -> tuple[float, ...]:
         grid = self.grid if self.grid is not None else default_grid(self.experiment, self.dim)
-        grid = tuple(float(v) for v in grid)
-        if not grid:
-            raise MixtureError("sweep grid must not be empty")
-        if not all(math.isfinite(v) for v in grid):
-            raise MixtureError(f"sweep grid values must be finite, got {grid}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        grid = as_floats(grid, "sweep grid")
+        if grid.ndim != 1 or grid.size == 0:
+            raise MixtureError("sweep grid must be a non-empty sequence of values")
+        if np.any(grid[1:] <= grid[:-1]):
             raise MixtureError("sweep grid must be strictly ascending")
-        return grid
+        return tuple(grid.tolist())
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ import math
 
 import numpy as np
 
-from ._numeric import as_count, as_points, forward_substitute, is_real
-from .errors import AlphaOutOfRange, DimensionMismatch, NonFiniteValue, NotPositiveDefinite
+from ._numeric import as_count, as_floats, as_order, as_points, check_pair, forward_substitute
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -61,16 +61,14 @@ class GaussianComponent:
     __slots__ = ("mean", "cov", "chol", "inv_chol", "log_det")
 
     def __init__(self, mean, cov):
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        mean = np.atleast_1d(as_floats(mean, "mean"))
+        cov = np.atleast_2d(as_floats(cov, "covariance"))
         if mean.ndim != 1 or mean.size == 0:
             raise DimensionMismatch("mean must be a non-empty vector")
         if cov.shape != (mean.size, mean.size):
             raise DimensionMismatch(
                 f"covariance shape {cov.shape} does not match dimension {mean.size}"
             )
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise NonFiniteValue("mean and covariance entries must be finite")
         scale = float(np.abs(cov).max())
         if not np.allclose(cov, cov.T, rtol=_SYMMETRY_RTOL, atol=_SYMMETRY_RTOL * max(scale, 1.0)):
             raise NotPositiveDefinite("covariance matrix is not symmetric")
@@ -163,11 +161,6 @@ class GaussianComponent:
         return gaussian_half_matrices(comps)
 
 
-def _check_pair(a: GaussianComponent, b: GaussianComponent) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"component dimensions differ: {a.dim} vs {b.dim}")
-
-
 def _mahalanobis_sq(chol: np.ndarray, delta: np.ndarray):
     """|chol^-1 delta|^2 over the last axis, for one factor or a stack.
 
@@ -181,7 +174,7 @@ def _mahalanobis_sq(chol: np.ndarray, delta: np.ndarray):
 
 def gaussian_kl(a: GaussianComponent, b: GaussianComponent) -> float:
     """Kullback-Leibler divergence KL(a || b) in nats; zero iff a equals b."""
-    _check_pair(a, b)
+    check_pair(a, b)
     quad = float(_mahalanobis_sq(b.chol, a.mean - b.mean))
     y = forward_substitute(b.chol, a.chol.T)  # the columns of a.chol, as rows
     trace = float(np.sum(y * y))
@@ -211,9 +204,8 @@ def gaussian_chernoff(a: GaussianComponent, b: GaussianComponent, alpha: float) 
     value is exactly zero.  Orders outside [0, 1] do not give a valid
     pairwise distance (the integral exceeds one) and are rejected.
     """
-    if not (is_real(alpha) and 0.0 <= alpha <= 1.0):
-        raise AlphaOutOfRange(f"chernoff order must be a real in [0, 1], got {alpha!r}")
-    _check_pair(a, b)
+    alpha = as_order(alpha)
+    check_pair(a, b)
     if alpha == 0.0 or alpha == 1.0:
         return 0.0
     return max(_chernoff_exponent(a, b, alpha), 0.0)
@@ -226,7 +218,7 @@ def gaussian_bd(a: GaussianComponent, b: GaussianComponent) -> float:
 
 def gaussian_elk_log_cross(a: GaussianComponent, b: GaussianComponent) -> float:
     """ln int a(x) b(x) dx: the log density of N(mean_b, cov_a + cov_b) at mean_a."""
-    _check_pair(a, b)
+    check_pair(a, b)
     total = a.cov + b.cov
     chol = np.linalg.cholesky(total)
     quad = float(_mahalanobis_sq(chol, a.mean - b.mean))

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numeric import as_count, as_points, fsum, log_sum_exp_axis0
+from ._numeric import as_count, as_floats, as_points, check_pair, fsum, log_sum_exp_axis0
 from .errors import (
-    DimensionMismatch,
     EmptyMixture,
     MixedFamilies,
     MixtureError,
     NegativeWeight,
-    NonFiniteValue,
     UnsupportedDistance,
     ZeroWeightSum,
 )
@@ -60,15 +58,13 @@ class MixtureModel:
 
     def __init__(self, weights, components):
         components = tuple(components)
-        weights = np.atleast_1d(np.asarray(weights, dtype=float))
+        weights = np.atleast_1d(as_floats(weights, "component weights"))
         if not components or weights.size == 0:
             raise EmptyMixture("a mixture needs at least one component")
         if weights.ndim != 1 or weights.size != len(components):
             raise MixtureError(
                 f"got {weights.size} weights for {len(components)} components"
             )
-        if not np.isfinite(weights).all():
-            raise NonFiniteValue("component weights must be finite")
         if np.any(weights < 0):
             raise NegativeWeight("component weights must be non-negative")
         try:
@@ -84,10 +80,7 @@ class MixtureModel:
         for comp in components[1:]:
             if type(comp) is not type(first):
                 raise MixedFamilies("all components must come from one family")
-            if comp.dim != first.dim:
-                raise DimensionMismatch(
-                    f"component dimensions differ: {comp.dim} vs {first.dim}"
-                )
+            check_pair(comp, first)
         self.weights = weights / total
         self.components = components
 

@@ -10,6 +10,9 @@ A mixture file looks like
 or, for the uniform family, components of the form
 ``{"lower": [...], "upper": [...]}``.  Covariances are full row-major
 matrices.  A noise file holds a single ``{"cov": [[...]]}`` object.
+
+The numbers are read by the constructors' own intake rule, so JSON
+``true`` and ``false`` are refused as booleans, not taken as 1 and 0.
 """
 
 from __future__ import annotations
@@ -19,36 +22,28 @@ from pathlib import Path
 
 import numpy as np
 
+from ._numeric import as_floats
 from .errors import MixtureError
 from .gaussian import GaussianComponent
 from .mixture import MixtureModel
 from .uniform import UniformBox
 
 
-def _numbers(value):
-    """``value``, or a TypeError if a JSON true or false (NumPy's 1 and 0) is in it."""
-    if isinstance(value, bool):
-        raise TypeError("JSON booleans are not numbers")
-    for item in value if isinstance(value, list) else ():
-        _numbers(item)
-    return value
-
-
 def parse_mixture(data: dict) -> MixtureModel:
     """Build a MixtureModel from a parsed mixture definition.
 
-    Constructor errors keep their own MixtureError subclass; malformed
-    structure, non-numeric entries or nesting too deep to walk raise a plain
-    MixtureError.
+    Constructor errors, booleans and non-numeric entries among them, pass
+    through unchanged; malformed structure (a missing key, a component that
+    is not an object, nesting too deep to walk) raises a plain MixtureError.
     """
     try:
         family = data["family"]
-        weights = _numbers(data["weights"])
+        weights = data["weights"]
         entries = data["components"]
         if family == "gaussian":
-            comps = [GaussianComponent(_numbers(c["mean"]), _numbers(c["cov"])) for c in entries]
+            comps = [GaussianComponent(c["mean"], c["cov"]) for c in entries]
         elif family == "uniform":
-            comps = [UniformBox(_numbers(c["lower"]), _numbers(c["upper"])) for c in entries]
+            comps = [UniformBox(c["lower"], c["upper"]) for c in entries]
         else:
             raise MixtureError(f"unknown family {family!r}, expected 'gaussian' or 'uniform'")
         return MixtureModel(weights, comps)
@@ -82,8 +77,7 @@ def load_mixture(path) -> MixtureModel:
 def load_noise_cov(path) -> np.ndarray:
     """Read a noise covariance from JSON: a bare matrix or an object with a 'cov' entry."""
     data = _read_json(path)
-    try:
-        cov = _numbers(data["cov"] if isinstance(data, dict) else data)
-        return np.atleast_2d(np.asarray(cov, dtype=float))
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise MixtureError(f"malformed noise definition: {exc}") from None
+    if isinstance(data, dict) and "cov" not in data:
+        raise MixtureError(f"malformed noise definition: no 'cov' entry in {path}")
+    cov = data["cov"] if isinstance(data, dict) else data
+    return np.atleast_2d(as_floats(cov, "noise covariance"))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import as_count, fsum, is_real
+from ._numeric import as_count, as_floats, as_order, fsum
 from .errors import AlphaOutOfRange, MixtureError, NotOneDimensional
 from .mixture import MixtureModel
 from .uniform import UniformBox
@@ -126,9 +126,10 @@ def quad_entropy_1d(mixture: MixtureModel, lo: float, hi: float, points: int = 1
     """
     if mixture.dim != 1:
         raise NotOneDimensional(f"quadrature oracle needs dimension 1, got {mixture.dim}")
-    lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        raise MixtureError(f"empty integration range [{lo}, {hi}]")
+    bounds = as_floats((lo, hi), "integration range")
+    if bounds.shape != (2,) or not bounds[0] < bounds[1]:
+        raise MixtureError(f"integration range must be two reals lo < hi, got [{lo}, {hi}]")
+    lo, hi = bounds.tolist()
     points = as_count(points, _MIN_POINTS, "the number of quadrature points")
 
     edges = [e for k in mixture.active_indices() for e in _box_edges(mixture.components[k])]
@@ -163,7 +164,8 @@ def quad_cross_term_1d(p, q, kind: str, alpha: float | None = None, points: int 
         raise NotOneDimensional("cross-term quadrature needs 1-D components")
     points = as_count(points, _MIN_POINTS, "the number of quadrature points")
     if kind == "chernoff":
-        if not (is_real(alpha) and 0.0 < alpha < 1.0):
+        alpha = as_order(alpha)
+        if alpha == 0.0 or alpha == 1.0:
             raise AlphaOutOfRange(f"chernoff integrand needs a real alpha in (0, 1), got {alpha!r}")
     elif kind not in ("product", "sqrt_product", "kl"):
         raise MixtureError(f"unknown integrand kind {kind!r}")

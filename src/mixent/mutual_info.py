@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._numeric import as_floats
 from .errors import DimensionMismatch, MixtureError
 from .estimators import lower_bound_chernoff, upper_bound_kl
 from .gaussian import GaussianComponent
@@ -25,7 +26,7 @@ class AwgnChannel:
     __slots__ = ("noise",)
 
     def __init__(self, noise_cov):
-        noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
+        noise_cov = np.atleast_2d(as_floats(noise_cov, "noise covariance"))
         self.noise = GaussianComponent(np.zeros(noise_cov.shape[0]), noise_cov)
 
     @property

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from ._numeric import NEG_INF, as_count, as_points, fsum, is_real
-from .errors import AlphaOutOfRange, DegenerateBox, DimensionMismatch, NonFiniteValue
+from ._numeric import NEG_INF, as_count, as_floats, as_order, as_points, check_pair, fsum
+from .errors import DegenerateBox, DimensionMismatch
 
 
 class UniformBox:
@@ -26,12 +26,10 @@ class UniformBox:
     __slots__ = ("lower", "upper", "log_volume")
 
     def __init__(self, lower, upper):
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
+        lower = np.atleast_1d(as_floats(lower, "lower bounds"))
+        upper = np.atleast_1d(as_floats(upper, "upper bounds"))
         if lower.ndim != 1 or lower.shape != upper.shape or lower.size == 0:
             raise DimensionMismatch("lower and upper must be non-empty vectors of equal length")
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise NonFiniteValue("box bounds must be finite")
         sides = upper - lower
         if np.any(sides <= 0):
             raise DegenerateBox("every box side must have strictly positive length")
@@ -94,8 +92,7 @@ class UniformBox:
 def _log_overlap(a: UniformBox, b: UniformBox) -> float:
     """Log volume of the intersection box, whose sides are min(upper) - max(lower);
     -inf when a side is not positive (zero measure, as for boxes that touch)."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"component dimensions differ: {a.dim} vs {b.dim}")
+    check_pair(a, b)
     sides = np.minimum(a.upper, b.upper) - np.maximum(a.lower, b.lower)
     if np.any(sides <= 0):
         return NEG_INF
@@ -104,8 +101,7 @@ def _log_overlap(a: UniformBox, b: UniformBox) -> float:
 
 def uniform_kl(a: UniformBox, b: UniformBox) -> float:
     """KL(a || b): ln(V_b / V_a) when b's support contains a's, +inf otherwise."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"component dimensions differ: {a.dim} vs {b.dim}")
+    check_pair(a, b)
     contained = np.all(b.lower <= a.lower) and np.all(a.upper <= b.upper)
     if not contained:
         return math.inf
@@ -116,8 +112,7 @@ def uniform_chernoff(a: UniformBox, b: UniformBox, alpha: float) -> float:
     """Chernoff divergence -ln int a^alpha b^(1-alpha) dx for alpha in [0, 1]:
     alpha ln V_a + (1 - alpha) ln V_b - ln V_overlap, +inf if the boxes are
     disjoint.  As for Gaussians, the boundary orders give exactly zero."""
-    if not (is_real(alpha) and 0.0 <= alpha <= 1.0):
-        raise AlphaOutOfRange(f"chernoff order must be a real in [0, 1], got {alpha!r}")
+    alpha = as_order(alpha)
     log_overlap = _log_overlap(a, b)
     if alpha == 0.0 or alpha == 1.0:
         return 0.0

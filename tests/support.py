@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mixent
 from mixent import GaussianComponent, MixtureModel, UniformBox
@@ -37,6 +38,36 @@ def cov_with_condition(rng: np.random.Generator, dim: int, cond: float) -> np.nd
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     cov = (basis * np.logspace(0.0, -math.log10(cond), dim)) @ basis.T
     return 0.5 * (cov + cov.T)
+
+
+def mp_gaussian_pair(a: GaussianComponent, b: GaussianComponent) -> tuple[float, float, float]:
+    """(KL(a || b), Bhattacharyya distance, ln int a b dx) at 60 digits, rounded to floats.
+
+    The components' float means and covariances are taken as exact, and each
+    closed form is evaluated from them with mpmath alone, through LU solves
+    and determinants at ``mp.dps = 60``.  It shares no code with the package:
+    it is the reference for the closed forms themselves.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(60):
+        cov_a, cov_b = mpmath.matrix(a.cov.tolist()), mpmath.matrix(b.cov.tolist())
+        delta = mpmath.matrix(a.mean.tolist()) - mpmath.matrix(b.mean.tolist())
+        dim = a.dim
+
+        def quad(cov):  # delta^T cov^-1 delta
+            return (delta.T * mpmath.lu_solve(cov, delta))[0]
+
+        def log_det(cov):
+            return mpmath.log(mpmath.det(cov))
+
+        trace = sum(mpmath.lu_solve(cov_b, cov_a[:, k])[k] for k in range(dim))
+        kl = (log_det(cov_b) - log_det(cov_a) + trace + quad(cov_b) - dim) / 2
+        half = (cov_a + cov_b) / 2
+        bd = quad(half) / 8 + (log_det(half) - (log_det(cov_a) + log_det(cov_b)) / 2) / 2
+        total = cov_a + cov_b
+        log_cross = -(quad(total) + log_det(total) + dim * mpmath.log(2 * mpmath.pi)) / 2
+        return float(kl), float(bd), float(log_cross)
 
 
 def random_gaussian_mixture(

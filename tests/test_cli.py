@@ -146,6 +146,31 @@ def test_estimate_bad_numbers_are_one_line_errors(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "doc, noise",
+    [
+        ({**SINGLE_GAUSSIAN, "components": [{"mean": ["a"], "cov": [[1.0]]}]}, None),
+        ({**SINGLE_GAUSSIAN, "components": [{"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0]]}]},
+         None),
+        ({**TWO_BOXES, "components": [{"lower": [False], "upper": [True]}] * 2}, None),
+        ({**TWO_BOXES, "weights": ["a", 0.5]}, None),
+        (SINGLE_GAUSSIAN, [["a"]]),
+        (SINGLE_GAUSSIAN, {"cov": [[1.0, 0.0], [0.0]]}),
+    ],
+    ids=["text-mean", "ragged-cov", "bool-bounds", "text-weight", "text-noise", "ragged-noise"],
+)
+def test_malformed_floats_are_one_line_errors(tmp_path, capsys, doc, noise):
+    spec = write_json(tmp_path, "bad.json", doc)
+    if noise is None:
+        args = ["estimate", "--spec", spec]
+    else:
+        args = ["mi", "--spec", spec, "--noise", write_json(tmp_path, "noise.json", noise)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed ") and captured.err.count("\n") == 1
+
+
 def test_estimate_accepts_weights_whose_sum_overflows(tmp_path, capsys):
     doc = {**SINGLE_GAUSSIAN, "weights": [0.5, 0.5],
            "components": [{"mean": [0.0], "cov": [[1.0]]}, {"mean": [1.0], "cov": [[2.0]]}]}

@@ -79,6 +79,30 @@ def test_wishart_needs_enough_degrees_of_freedom():
         wishart_bartlett(rng, 4, 3.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda n, d: gen_gaussian_spread(n, d, 1.0, 0),
+        lambda n, d: gen_gaussian_wishart(n, d, 10.0, 0),
+        lambda n, d: gen_gaussian_clustered(n, d, 1, 1.0, 0),
+        lambda n, d: gen_uniform_spread(n, d, 1.0, 0),
+        lambda n, d: gen_uniform_gamma(n, d, 1.0, 0),
+        lambda n, d: gen_uniform_clustered(n, d, 1, 1.0, 0),
+    ],
+    ids=["g-spread", "g-wishart", "g-clustered", "u-spread", "u-gamma", "u-clustered"],
+)
+@pytest.mark.parametrize("n, d", [(2.5, 2), (3, 1.5), (True, 2), (3, "2"), (0, 2), (3, 0)])
+def test_generators_refuse_sizes_that_are_not_positive_integers(generate, n, d):
+    with pytest.raises(MixtureError):
+        generate(n, d)
+
+
+@pytest.mark.parametrize("dim", [2.5, True, 0])
+def test_wishart_refuses_a_dimension_that_is_not_a_positive_integer(dim):
+    with pytest.raises(MixtureError, match="dimension must be"):
+        wishart_bartlett(np.random.default_rng(0), dim, 4.0, 1.0)
+
+
 def test_wishart_draws_are_symmetric_positive_definite():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -213,6 +237,14 @@ def test_resolved_grid_validation():
     for bad in ((float("nan"),), (0.5, float("inf")), (float("-inf"), 1.0)):
         with pytest.raises(MixtureError, match="finite"):
             small_config(grid=bad).resolved_grid()
+
+
+@pytest.mark.parametrize("bad", [("a",), ((1.0,),), (0.5, True), 2.0])
+def test_resolved_grid_refuses_entries_that_are_not_reals(bad):
+    with pytest.raises(MixtureError):
+        small_config(grid=bad).resolved_grid()
+    with pytest.raises(MixtureError):
+        run_sweep(small_config(grid=bad))
 
 
 # ---------------------------------------------------------------- sweep driver

@@ -14,6 +14,7 @@ from mixent import (
     AlphaOutOfRange,
     DimensionMismatch,
     GaussianComponent,
+    MixtureError,
     MixtureModel,
     NonFiniteValue,
     NotPositiveDefinite,
@@ -83,6 +84,17 @@ def test_non_finite_mean_or_covariance_rejected(bad):
         GaussianComponent([0.0, 0.0], [[1.0, bad], [bad, 1.0]])
 
 
+@pytest.mark.parametrize(
+    "mean, cov",
+    [(["a"], [[1.0]]), ([0.0, 0.0], [[1.0, 0.0], [0.0]]), ([1j], [[1.0]]),
+     ([True], [[1.0]]), ([0.0], [[np.True_]]), (np.array([False]), np.eye(1))],
+    ids=["text-mean", "ragged-cov", "complex-mean", "bool-mean", "numpy-bool-cov", "bool-array"],
+)
+def test_malformed_or_boolean_mean_or_covariance_rejected(mean, cov):
+    with pytest.raises(MixtureError, match="malformed"):
+        GaussianComponent(mean, cov)
+
+
 def test_matrix_kernels_are_the_scalar_closed_forms():
     a, b = random_pair(21)
     kl = GaussianComponent.kl_matrix((a, b))
@@ -138,6 +150,14 @@ def test_log_density_batch_matches_singles():
 def test_log_density_dimension_checked():
     with pytest.raises(DimensionMismatch):
         gauss1(0.0, 1.0).log_density(np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [["a"], [True], np.array([True]), [[0.0], [1.0, 2.0]]])
+def test_log_density_refuses_malformed_or_boolean_points(bad):
+    # [True] used to be read as the point 1.0, whose log density is -0.0 here.
+    comp = GaussianComponent([1.0], [[1.0 / (2.0 * math.pi)]])
+    with pytest.raises(MixtureError, match="malformed"):
+        comp.log_density(bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -36,7 +36,7 @@ from mixent import (
     uniform_kl,
     upper_bound_kl,
 )
-from support import random_gaussian_mixture, random_spd, random_uniform_mixture
+from support import mp_gaussian_pair, random_gaussian_mixture, random_spd, random_uniform_mixture
 
 ORDERS = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
 RTOL = 1e-12
@@ -104,6 +104,24 @@ def gaussian_comps(rng, n: int, dim: int) -> list[GaussianComponent]:
     if n > 1:
         comps[-1] = GaussianComponent(comps[0].mean, comps[0].cov)  # an identical pair
     return comps
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
+@settings(max_examples=30, deadline=None)
+def test_gaussian_kernels_match_a_60_digit_reference(seed, dim):
+    # Three components, the last an exact copy of the first; random_spd keeps
+    # every covariance well conditioned, so no entry is a near-copy residue.
+    comps = gaussian_comps(np.random.default_rng(seed), 3, dim)
+    kl = GaussianComponent.kl_matrix(comps)
+    bd, log_cross = GaussianComponent.half_matrices(comps)
+    for i in range(3):
+        for j in range(3):
+            a, b = comps[i], comps[j]
+            if np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov):
+                assert kl[i, j] == 0.0 and bd[i, j] == 0.0
+            ref = mp_gaussian_pair(a, b)
+            for value, exact in zip((kl[i, j], bd[i, j], log_cross[i, j]), ref):
+                assert abs(value - exact) <= RTOL * max(1.0, abs(exact)), (i, j, value, exact)
 
 
 @given(

@@ -60,6 +60,13 @@ def test_non_finite_weight_rejected(bad):
         MixtureModel([bad, 1.0], [std_normal(), std_normal(shift=1.0)])
 
 
+@pytest.mark.parametrize("bad", [["a"], [True], [0.5, False], np.array([True]), "ab"])
+def test_malformed_or_boolean_weights_rejected(bad):
+    comps = [std_normal(shift=float(k)) for k in range(np.size(bad))]
+    with pytest.raises(MixtureError, match="malformed"):
+        MixtureModel(bad, comps)
+
+
 def test_components_outside_both_families_rejected():
     class Point:
         dim = 1
@@ -271,6 +278,14 @@ def test_log_density_checks_the_points_once(monkeypatch, family):
         monkeypatch.setattr(module, "as_points", counted)
     assert np.array_equal(mix.log_density(points), full)
     assert checks == ["mixture"]
+
+
+@pytest.mark.parametrize("bad", [["a", 0.5], [True, 0.5], [[0.0, 0.5], [0.5]]])
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_log_density_refuses_malformed_or_boolean_points(family, bad):
+    mix, _ = _streamed_mixture(family, 2)
+    with pytest.raises(MixtureError, match="malformed"):
+        mix.log_density(bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

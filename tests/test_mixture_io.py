@@ -154,6 +154,23 @@ def test_non_numeric_entries_become_mixture_errors():
         parse_mixture({**GAUSSIAN_DOC, "weights": weights})
 
 
+def test_the_loader_and_the_constructors_refuse_alike():
+    # One intake rule: a spec's entries raise what the constructor raises.
+    cases = [
+        (GaussianComponent, {"mean": [0.0], "cov": [["x"]]}),
+        (GaussianComponent, {"mean": [0.0], "cov": [[1.0, 0.0], [0.0]]}),
+        (UniformBox, {"lower": [0.0, 0.0], "upper": [True, 1.0]}),
+    ]
+    for family, entry in cases:
+        with pytest.raises(MixtureError) as direct:
+            family(*entry.values())
+        doc = GAUSSIAN_DOC if family is GaussianComponent else UNIFORM_DOC
+        with pytest.raises(MixtureError) as loaded:
+            parse_mixture({**doc, "components": [entry, doc["components"][1]]})
+        assert type(loaded.value) is type(direct.value)
+        assert str(loaded.value) == str(direct.value)
+
+
 def test_constructor_errors_keep_their_own_type():
     nan_mean = [{"mean": [float("nan")], "cov": [[1.0]]}, {"mean": [2.0], "cov": [[1.0]]}]
     with pytest.raises(NonFiniteValue):

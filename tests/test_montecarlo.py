@@ -223,6 +223,12 @@ def test_quad_input_validation():
         quad_entropy_1d(wide, -12.0, 12.0)
 
 
+@pytest.mark.parametrize("lo, hi", [("a", 1.0), (True, 2.0), ([-1.0, 0.0], 1.0)])
+def test_quad_refuses_a_range_that_is_not_two_reals(lo, hi):
+    with pytest.raises(MixtureError):
+        quad_entropy_1d(std_normal_mixture(), lo, hi)
+
+
 def test_quad_matches_monte_carlo_on_a_random_mixture():
     rng = np.random.default_rng(33)
     mix = random_gaussian_mixture(rng, 4, 1)

@@ -45,6 +45,12 @@ def test_channel_noise_must_be_positive_definite():
         AwgnChannel([[1.0, 2.0], [2.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [[["a"]], [[True]], [[1.0, 0.0], [0.0]]])
+def test_channel_noise_must_be_a_float_matrix(bad):
+    with pytest.raises(MixtureError, match="malformed noise covariance"):
+        AwgnChannel(bad)
+
+
 def test_pushforward_adds_noise_covariance():
     rng = np.random.default_rng(1)
     mix = random_gaussian_mixture(rng, 4, 3)

@@ -110,6 +110,47 @@ def test_counts_are_checked_not_truncated():
     assert not found, f"int() on a parameter: {sorted(found)}"
 
 
+def _calls_outside_numeric(test):
+    """'module:line' of every call outside _numeric.py for which test(call) holds."""
+    sources = sorted(Path(mixent.__file__).parent.glob("*.py"))
+    assert any(path.name == "_numeric.py" for path in sources)
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        if path.name != "_numeric.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and test(node)
+    ]
+
+
+def _names(node):  # a bare name, module.Name, a tuple or an X | Y union
+    return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+
+def test_float_arrays_are_read_by_one_intake_rule():
+    # Floats go through _numeric.as_floats, which refuses booleans, malformed
+    # entries and NaN/inf with MixtureErrors; np.asarray(x, dtype=float) alone
+    # takes True as 1.0 and raises NumPy's own errors.
+    def float_conversion(call):
+        name = getattr(call.func, "attr", getattr(call.func, "id", None))
+        dtypes = [_names(k.value) for k in call.keywords if k.arg == "dtype"]
+        return name in ("asarray", "array") and any(d & {"float", "float64"} for d in dtypes)
+
+    found = _calls_outside_numeric(float_conversion)
+    assert not found, f"float array conversions outside _numeric.py: {found}"
+
+
+def test_booleans_are_refused_in_one_module():
+    # The one test for a bool among numbers lives beside the intake rules.
+    def bool_check(call):
+        if getattr(call.func, "id", None) != "isinstance" or len(call.args) != 2:
+            return False
+        return bool(_names(call.args[1]) & {"bool", "bool_"})
+
+    found = _calls_outside_numeric(bool_check)
+    assert not found, f"bool checks outside _numeric.py: {found}"
+
+
 def test_component_classes_share_one_pair_contract():
     # The family contract: the three matrix kernels and the block log-density.
     contract = {"kl_matrix", "chernoff_matrix", "half_matrices", "_log_density_rows"}

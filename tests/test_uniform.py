@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mixent import (
     DegenerateBox,
     DimensionMismatch,
+    MixtureError,
     NonFiniteValue,
     UniformBox,
     uniform_bd,
@@ -66,6 +67,16 @@ def test_non_finite_bounds_rejected(bad):
         UniformBox([0.0, 0.0], [1.0, bad])
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(["a"], [1.0]), ([False], [True]), ([0.0], np.array([True])), ([[0.0], [0.0, 1.0]], [1.0])],
+    ids=["text-bound", "bool-bounds", "bool-array", "ragged-bound"],
+)
+def test_malformed_or_boolean_bounds_rejected(lower, upper):
+    with pytest.raises(MixtureError, match="malformed"):
+        UniformBox(lower, upper)
+
+
 def test_matrix_kernels_are_the_scalar_closed_forms():
     a, b = random_box_pair(4)
     kl = UniformBox.kl_matrix((a, b))
@@ -107,6 +118,12 @@ def test_log_density_batch():
     out = box.log_density(pts)
     assert out.shape == (3,)
     assert out[0] == 0.0 and math.isinf(out[1]) and math.isinf(out[2])
+
+
+@pytest.mark.parametrize("bad", [["a"], [True], [np.False_]])
+def test_log_density_refuses_malformed_or_boolean_points(bad):
+    with pytest.raises(MixtureError, match="malformed"):
+        unit_box().log_density(bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
