@@ -1,8 +1,8 @@
 """Shared numeric helpers: the one intake rule for each kind of argument
-(counts, float arrays, Chernoff orders, component pairs), order-stable
-summation, careful log-sum-exp (the row form sums each row exactly from
-integer limbs, bit for bit as math.fsum would) and the package's one
-triangular solve, on stacked vectors.
+(counts, float arrays, group labels, Chernoff orders, component pairs),
+order-stable summation, careful log-sum-exp (the row form sums each row
+exactly from integer limbs, bit for bit as math.fsum would) and the
+package's one triangular solve, on stacked vectors.
 
 Every constructor and scalar function reads its arguments through these
 rules, so a boolean is refused wherever a number is taken, by the library
@@ -32,36 +32,63 @@ def as_count(value, least: int, what: str, error=InsufficientSamples) -> int:
     return int(value)
 
 
-def _holds_bool(value) -> bool:
-    """Whether value is a bool or holds one: an ndarray by its dtype (an object
-    array by its entries), a list or tuple by walking its entries."""
+# Leaf types of a float entry (a bool is an int, but is refused), and those
+# that a list walk passes without a call.
+_REALS = (float, int, np.floating, np.integer)
+_PLAIN = frozenset((float, int, np.float64, np.int64))
+
+
+def _fault(value) -> str | None:
+    """Why value is not a real or an array of reals, or None if it is.
+
+    An ndarray of integer or float dtype is a real array; any other ndarray
+    and every list or tuple is walked, and each leaf must be a Python or
+    NumPy int or float, never a bool."""
+    if isinstance(value, _REALS) and type(value) is not bool:
+        return None
     if isinstance(value, np.ndarray):
-        if value.dtype.kind != "O":
-            return value.dtype.kind == "b"
+        if value.dtype.kind in "iuf":
+            return None
         value = value.tolist()
     if isinstance(value, (list, tuple)):
-        return any(map(_holds_bool, value))
-    return isinstance(value, (bool, np.bool_))
+        faults = (_fault(entry) for entry in value if type(entry) not in _PLAIN)
+        return next(filter(None, faults), None)
+    boolean = isinstance(value, (bool, np.bool_))
+    return "booleans are not numbers" if boolean else f"{value!r} is not a real number"
 
 
 def as_floats(value, what: str) -> np.ndarray:
     """value as a float array of finite entries.
 
-    A bool anywhere in it, or anything ``np.asarray(value, dtype=float)``
-    cannot convert (strings that are not numbers, complex or ragged entries,
-    nesting too deep to walk), raises a plain :class:`MixtureError`,
+    Each entry must be a Python or NumPy int or float, not a bool, and an
+    ndarray must have an integer or float dtype.  Anything else (a bool, a
+    string, a complex number, ``None``), or entries that do not make an array
+    (ragged or nested too deep to walk), raises a plain :class:`MixtureError`,
     "malformed <what>: ..."; a NaN or infinite entry raises
     :class:`NonFiniteValue`.  ``what`` names the argument in the message.
     """
     try:
-        if _holds_bool(value):
-            raise TypeError("booleans are not numbers")
+        if fault := _fault(value):
+            raise TypeError(fault)
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError, RecursionError) as exc:
         raise MixtureError(f"malformed {what}: {exc}") from None
     if not np.isfinite(array).all():
         raise NonFiniteValue(f"{what} must be finite")
     return array
+
+
+def as_labels(value, count: int) -> tuple[int, ...]:
+    """value as ``count`` integer labels, negative ones too.  A bool anywhere
+    in it, a label of another dtype, a ragged value or another count raises a
+    plain :class:`MixtureError`."""
+    try:
+        labels = None if _fault(value) else np.asarray(value)
+    except (ValueError, RecursionError):
+        labels = None
+    if labels is None or labels.shape != (count,) or labels.dtype.kind not in "iu":
+        raise MixtureError(f"need one integer group label per component ({count}), got {value!r}")
+    return tuple(labels.tolist())
 
 
 def as_order(alpha) -> float:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .errors import MixtureError
 from .estimators import estimate_all
@@ -44,72 +45,64 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", help="run every estimator on one mixture file")
-    est.add_argument("--spec", required=True, help="JSON mixture definition file")
-    est.add_argument("--mc", type=int, default=None, help="Monte Carlo sample count")
-    est.add_argument("--seed", type=int, default=0, help="Monte Carlo master seed")
+    # An option left out stays out of the call, so the library's default applies.
+    command = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    sw = sub.add_parser("sweep", help="run one experiment sweep")
+    est = command("estimate", help="run every estimator on one mixture file")
+    est.add_argument("--spec", required=True, help="JSON mixture definition file")
+    est.add_argument("--mc", dest="mc_samples", metavar="MC", type=int,
+                     help="Monte Carlo sample count")
+    est.add_argument("--seed", type=int, help="Monte Carlo master seed")
+
+    sw = command("sweep", help="run one experiment sweep")
     sw.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    sw.add_argument("--n", type=int, default=20, help="components per mixture")
-    sw.add_argument("--dim", type=int, default=5, help="dimension (ignored by g4/u4)")
-    sw.add_argument("--clusters", type=int, default=5, help="clusters for g3/u3")
-    sw.add_argument("--grid", type=_grid_spec, default=None,
+    sw.add_argument("--n", dest="n_components", metavar="N", type=int,
+                    help="components per mixture")
+    sw.add_argument("--dim", type=int, help="dimension (ignored by g4/u4)")
+    sw.add_argument("--clusters", type=int, help="clusters for g3/u3")
+    sw.add_argument("--grid", type=_grid_spec,
                     help="lo:hi:steps, log-spaced (ln endpoints); default per experiment")
-    sw.add_argument("--mc", type=int, default=2000, help="Monte Carlo samples per point")
-    sw.add_argument("--seed", type=int, default=0, help="master seed")
-    sw.add_argument("--out", default=None, help="CSV output path (stdout if omitted)")
-    sw.add_argument("--plot", default=None, help="SVG output path")
+    sw.add_argument("--mc", dest="mc_samples", metavar="MC", type=int,
+                    help="Monte Carlo samples per point")
+    sw.add_argument("--seed", type=int, help="master seed")
+    sw.add_argument("--out", help="CSV output path (stdout if omitted)")
+    sw.add_argument("--plot", help="SVG output path")
     sw.add_argument("--balanced-clusters", action="store_true",
                     help="equal cluster sizes in g3/u3")
 
-    mi = sub.add_parser("mi", help="bound mutual information across a Gaussian noise channel")
+    mi = command("mi", help="bound mutual information across a Gaussian noise channel")
     mi.add_argument("--spec", required=True, help="JSON mixture definition file")
     mi.add_argument("--noise", required=True, help="JSON noise covariance file")
-    mi.add_argument("--alpha", type=float, default=0.5, help="Chernoff order for the lower bound")
+    mi.add_argument("--alpha", type=float, help="Chernoff order for the lower bound")
     return parser
 
 
-def _run_estimate(args) -> int:
-    mixture = load_mixture(args.spec)
-    report = estimate_all(mixture, mc_samples=args.mc, seed=args.seed)
-    print(f"H_cond  = {report.h_cond:.12g}")
-    print(f"H_BD    = {report.h_bd:.12g}")
-    print(f"H_KL    = {report.h_kl:.12g}")
-    print(f"H_joint = {report.h_joint:.12g}")
-    print(f"H_KDE   = {report.h_kde:.12g}")
-    print(f"H_ELK   = {report.h_elk:.12g}")
+def _run_estimate(spec, **options) -> int:
+    report = estimate_all(load_mixture(spec), **options)
+    for label in ("H_cond", "H_BD", "H_KL", "H_joint", "H_KDE", "H_ELK"):
+        print(f"{label:<7} = {getattr(report, label.lower()):.12g}")  # H_BD: report.h_bd
     if report.mc is not None:
         print(f"H_MC    = {report.mc.estimate:.12g} (stderr {report.mc.stderr:.6g})")
     return 0
 
 
-def _run_sweep(args) -> int:
-    grid = None if args.grid is None else log_grid(args.experiment, *args.grid)
-    config = SweepConfig(
-        experiment=args.experiment,
-        n_components=args.n,
-        dim=args.dim,
-        clusters=args.clusters,
-        grid=grid,
-        mc_samples=args.mc,
-        seed=args.seed,
-        balanced_clusters=args.balanced_clusters,
-    )
-    rows = run_sweep(config)
-    if args.out is None:
+def _run_sweep(experiment, grid=None, out=None, plot=None, **options) -> int:
+    if grid is not None:
+        options["grid"] = log_grid(experiment, *grid)
+    rows = run_sweep(SweepConfig(experiment, **options))
+    if out is None:
         sys.stdout.write(format_csv(rows))
     else:
-        write_csv(rows, args.out)
-    if args.plot is not None:
-        render_svg(rows, args.plot)
+        write_csv(rows, out)
+    if plot is not None:
+        render_svg(rows, plot)
     return 0
 
 
-def _run_mi(args) -> int:
-    mixture = load_mixture(args.spec)
-    channel = AwgnChannel(load_noise_cov(args.noise))
-    lower, upper = mi_bounds(mixture, channel, alpha=args.alpha)
+def _run_mi(spec, noise, **options) -> int:
+    mixture = load_mixture(spec)
+    channel = AwgnChannel(load_noise_cov(noise))
+    lower, upper = mi_bounds(mixture, channel, **options)
     print(f"MI_lower = {lower:.12g}")
     print(f"MI_upper = {upper:.12g}")
     return 0
@@ -118,15 +111,12 @@ def _run_mi(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        options = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    run = {"estimate": _run_estimate, "sweep": _run_sweep, "mi": _run_mi}[options.pop("command")]
     try:
-        if args.command == "estimate":
-            return _run_estimate(args)
-        if args.command == "sweep":
-            return _run_sweep(args)
-        return _run_mi(args)
+        return run(**options)
     except (MixtureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numeric import as_count, as_floats, as_points, check_pair, fsum, log_sum_exp_axis0
+from ._numeric import as_count, as_floats, as_labels, as_points, check_pair, fsum, log_sum_exp_axis0
 from .errors import (
     EmptyMixture,
     MixedFamilies,
@@ -207,19 +207,14 @@ class Grouping:
     ``assignment[i]`` is the integer group label of component i, and
     ``group_weights`` maps each label to the total mixture weight of its
     members.  Labels whose total weight is zero count as empty groups.
-    Labels may be negative but must have an integer dtype, never bool.
+    Labels are read by :func:`~mixent._numeric.as_labels`: integers, negative
+    ones too, and never a bool.
     """
 
     __slots__ = ("assignment", "group_weights")
 
     def __init__(self, mixture: MixtureModel, assignment):
-        labels = np.asarray(assignment)
-        if labels.shape != (mixture.n_components,) or not np.issubdtype(labels.dtype, np.integer):
-            raise MixtureError(
-                f"need one integer group label per component ({mixture.n_components}), "
-                f"got {assignment!r}"
-            )
-        assignment = tuple(labels.tolist())
+        assignment = as_labels(assignment, mixture.n_components)
         buckets: dict[int, list[float]] = {}
         for label, w in zip(assignment, mixture.weights):
             buckets.setdefault(label, []).append(float(w))

@@ -12,7 +12,8 @@ or, for the uniform family, components of the form
 matrices.  A noise file holds a single ``{"cov": [[...]]}`` object.
 
 The numbers are read by the constructors' own intake rule, so JSON
-``true`` and ``false`` are refused as booleans, not taken as 1 and 0.
+``true`` and ``false`` are refused as booleans, not taken as 1 and 0, and
+``null`` and strings such as ``"1.5"`` are refused, not read as NaN or parsed.
 """
 
 from __future__ import annotations

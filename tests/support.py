@@ -40,6 +40,21 @@ def cov_with_condition(rng: np.random.Generator, dim: int, cond: float) -> np.nd
     return 0.5 * (cov + cov.T)
 
 
+def _mp_quad(mpmath, cov, delta):
+    """delta^T cov^-1 delta, through an LU solve at the working precision."""
+    return (delta.T * mpmath.lu_solve(cov, delta))[0]
+
+
+def _mp_log_det(mpmath, cov):
+    return mpmath.log(mpmath.det(cov))
+
+
+def _mp_inputs(mpmath, a: GaussianComponent, b: GaussianComponent):
+    """(cov_a, cov_b, mean_a - mean_b) as mpmath matrices, the floats taken as exact."""
+    delta = mpmath.matrix(a.mean.tolist()) - mpmath.matrix(b.mean.tolist())
+    return mpmath.matrix(a.cov.tolist()), mpmath.matrix(b.cov.tolist()), delta
+
+
 def mp_gaussian_pair(a: GaussianComponent, b: GaussianComponent) -> tuple[float, float, float]:
     """(KL(a || b), Bhattacharyya distance, ln int a b dx) at 60 digits, rounded to floats.
 
@@ -49,25 +64,37 @@ def mp_gaussian_pair(a: GaussianComponent, b: GaussianComponent) -> tuple[float,
     it is the reference for the closed forms themselves.
     """
     mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp
-    with mp.workdps(60):
-        cov_a, cov_b = mpmath.matrix(a.cov.tolist()), mpmath.matrix(b.cov.tolist())
-        delta = mpmath.matrix(a.mean.tolist()) - mpmath.matrix(b.mean.tolist())
+    with mpmath.mp.workdps(60):
+        cov_a, cov_b, delta = _mp_inputs(mpmath, a, b)
+        log_det_a, log_det_b = _mp_log_det(mpmath, cov_a), _mp_log_det(mpmath, cov_b)
         dim = a.dim
-
-        def quad(cov):  # delta^T cov^-1 delta
-            return (delta.T * mpmath.lu_solve(cov, delta))[0]
-
-        def log_det(cov):
-            return mpmath.log(mpmath.det(cov))
-
         trace = sum(mpmath.lu_solve(cov_b, cov_a[:, k])[k] for k in range(dim))
-        kl = (log_det(cov_b) - log_det(cov_a) + trace + quad(cov_b) - dim) / 2
+        kl = (log_det_b - log_det_a + trace + _mp_quad(mpmath, cov_b, delta) - dim) / 2
         half = (cov_a + cov_b) / 2
-        bd = quad(half) / 8 + (log_det(half) - (log_det(cov_a) + log_det(cov_b)) / 2) / 2
+        bd = (_mp_quad(mpmath, half, delta) / 8
+              + (_mp_log_det(mpmath, half) - (log_det_a + log_det_b) / 2) / 2)
         total = cov_a + cov_b
-        log_cross = -(quad(total) + log_det(total) + dim * mpmath.log(2 * mpmath.pi)) / 2
+        log_cross = -(_mp_quad(mpmath, total, delta) + _mp_log_det(mpmath, total)
+                      + dim * mpmath.log(2 * mpmath.pi)) / 2
         return float(kl), float(bd), float(log_cross)
+
+
+def mp_gaussian_chernoff(a: GaussianComponent, b: GaussianComponent, alpha: float) -> float:
+    """C_alpha(a || b) = -ln int a^alpha b^(1-alpha) dx at 60 digits, rounded to a float.
+
+    C_alpha = alpha (1 - alpha) / 2 delta^T S^-1 delta
+    + (ln|S| - (1 - alpha) ln|cov_a| - alpha ln|cov_b|) / 2, with
+    S = (1 - alpha) cov_a + alpha cov_b and delta = mean_a - mean_b; alpha
+    and the components are taken as exact, as in :func:`mp_gaussian_pair`.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.mp.workdps(60):
+        cov_a, cov_b, delta = _mp_inputs(mpmath, a, b)
+        order = mpmath.mpf(alpha)
+        mixed = (1 - order) * cov_a + order * cov_b
+        log_dets = (_mp_log_det(mpmath, mixed) - (1 - order) * _mp_log_det(mpmath, cov_a)
+                    - order * _mp_log_det(mpmath, cov_b))
+        return float(order * (1 - order) * _mp_quad(mpmath, mixed, delta) / 2 + log_dets / 2)
 
 
 def random_gaussian_mixture(

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import shutil
@@ -12,15 +13,22 @@ import pytest
 from mixent import (
     CSV_HEADER,
     ESTIMATOR_ORDER,
+    AwgnChannel,
     GaussianComponent,
+    SweepConfig,
     estimate_all,
+    format_csv,
     gaussian_bd,
     gaussian_elk_log_cross,
     gaussian_kl,
     load_mixture,
+    load_noise_cov,
+    mi_bounds,
     read_csv,
+    run_sweep,
 )
-from mixent.cli import main
+from mixent.cli import _build_parser, main
+from mixent.experiments import log_grid
 from support import nested, run_python
 
 SINGLE_GAUSSIAN = {
@@ -156,8 +164,12 @@ def test_estimate_bad_numbers_are_one_line_errors(tmp_path, capsys, doc):
         ({**TWO_BOXES, "weights": ["a", 0.5]}, None),
         (SINGLE_GAUSSIAN, [["a"]]),
         (SINGLE_GAUSSIAN, {"cov": [[1.0, 0.0], [0.0]]}),
+        ({**TWO_BOXES, "weights": ["0.5", "0.5"]}, None),
+        ({**SINGLE_GAUSSIAN, "components": [{"mean": [None], "cov": [[1.0]]}]}, None),
+        (SINGLE_GAUSSIAN, {"cov": [["1.0"]]}),
     ],
-    ids=["text-mean", "ragged-cov", "bool-bounds", "text-weight", "text-noise", "ragged-noise"],
+    ids=["text-mean", "ragged-cov", "bool-bounds", "text-weight", "text-noise", "ragged-noise",
+         "numeric-text-weights", "null-mean", "numeric-text-noise"],
 )
 def test_malformed_floats_are_one_line_errors(tmp_path, capsys, doc, noise):
     spec = write_json(tmp_path, "bad.json", doc)
@@ -371,6 +383,72 @@ def test_estimate_overflowing_distances_are_infinite_without_warnings(tmp_path):
         assert gaussian_kl(a, b) == math.inf
         assert gaussian_bd(a, b) == math.inf
         assert gaussian_elk_log_cross(a, b) == -math.inf
+
+
+# ------------------------------------------------------------ library defaults
+
+# Two Gaussians of different spreads, so that the Chernoff order moves the MI
+# lower bound.
+UNEQUAL_PAIR = {
+    "family": "gaussian",
+    "weights": [0.3, 0.7],
+    "components": [{"mean": [0.0], "cov": [[0.5]]}, {"mean": [1.5], "cov": [[4.0]]}],
+}
+
+# Per command: its required options, every other option, the options that
+# only the CLI reads, and the library call that every other option is passed to.
+COMMANDS = {
+    "estimate": (["--spec", "s.json"], ["--mc", "10", "--seed", "1"], {"spec"}, estimate_all),
+    "sweep": (["--experiment", "g1"],
+              ["--n", "3", "--dim", "2", "--clusters", "2", "--grid", "0:1:2", "--mc", "10",
+               "--seed", "1", "--out", "o.csv", "--plot", "o.svg", "--balanced-clusters"],
+              {"grid", "out", "plot"}, SweepConfig),
+    "mi": (["--spec", "s.json", "--noise", "n.json"], ["--alpha", "0.3"], {"spec", "noise"},
+           mi_bounds),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_option_is_named_for_the_library_parameter_it_sets(command):
+    required, optional, cli_only, target = COMMANDS[command]
+    parsed = vars(_build_parser().parse_args([command, *required, *optional]))
+    assert parsed.pop("command") == command
+    assert len(parsed) == sum(arg.startswith("--") for arg in required + optional)
+    assert set(parsed) - cli_only <= set(inspect.signature(target).parameters)
+    # Only the required options are set when nothing else is given.
+    parsed = vars(_build_parser().parse_args([command, *required]))
+    assert set(parsed) == {"command", *(arg[2:] for arg in required[::2])}
+
+
+def test_sweep_options_left_out_take_the_library_defaults(capsys):
+    assert main(["sweep", "--experiment", "g1", "--grid", "0:1:2"]) == 0
+    config = SweepConfig("g1", grid=log_grid("g1", 0.0, 1.0, 2))
+    assert capsys.readouterr().out == format_csv(run_sweep(config))
+
+
+@pytest.mark.parametrize("doc", [UNEQUAL_PAIR, TWO_BOXES], ids=["gaussian", "uniform"])
+def test_estimate_options_left_out_take_the_library_defaults(tmp_path, capsys, doc):
+    spec = write_json(tmp_path, "spec.json", doc)
+    assert main(["estimate", "--spec", spec]) == 0
+    report = estimate_all(load_mixture(spec))
+    fields = {"H_cond": report.h_cond, "H_BD": report.h_bd, "H_KL": report.h_kl,
+              "H_joint": report.h_joint, "H_KDE": report.h_kde, "H_ELK": report.h_elk}
+    assert report.mc is None
+    assert parse_report(capsys.readouterr().out) == {
+        name: float(f"{value:.12g}") for name, value in fields.items()
+    }
+
+
+def test_mi_alpha_left_out_takes_the_library_default(tmp_path, capsys):
+    spec = write_json(tmp_path, "pair.json", UNEQUAL_PAIR)
+    noise = write_json(tmp_path, "noise.json", {"cov": [[0.2]]})
+    assert main(["mi", "--spec", spec, "--noise", noise]) == 0
+    mixture, channel = load_mixture(spec), AwgnChannel(load_noise_cov(noise))
+    lower, upper = mi_bounds(mixture, channel)
+    assert lower != mi_bounds(mixture, channel, alpha=0.3)[0]
+    assert parse_report(capsys.readouterr().out) == {
+        "MI_lower": float(f"{lower:.12g}"), "MI_upper": float(f"{upper:.12g}")
+    }
 
 
 # ----------------------------------------------------------------- entry point

@@ -2,6 +2,7 @@
 
 import math
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,7 +240,11 @@ def test_resolved_grid_validation():
             small_config(grid=bad).resolved_grid()
 
 
-@pytest.mark.parametrize("bad", [("a",), ((1.0,),), (0.5, True), 2.0])
+@pytest.mark.parametrize(
+    "bad",
+    [("a",), ((1.0,),), (0.5, True), 2.0, ("0.5", "2.0"), np.array([0.5, 2.0], dtype=complex),
+     (Fraction(1, 2), 2.0)],
+)
 def test_resolved_grid_refuses_entries_that_are_not_reals(bad):
     with pytest.raises(MixtureError):
         small_config(grid=bad).resolved_grid()

@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,8 +89,13 @@ def test_non_finite_mean_or_covariance_rejected(bad):
 @pytest.mark.parametrize(
     "mean, cov",
     [(["a"], [[1.0]]), ([0.0, 0.0], [[1.0, 0.0], [0.0]]), ([1j], [[1.0]]),
-     ([True], [[1.0]]), ([0.0], [[np.True_]]), (np.array([False]), np.eye(1))],
-    ids=["text-mean", "ragged-cov", "complex-mean", "bool-mean", "numpy-bool-cov", "bool-array"],
+     ([True], [[1.0]]), ([0.0], [[np.True_]]), (np.array([False]), np.eye(1)),
+     (["1.5"], [["2"]]), (np.array([1 + 2j]), [[1.0]]), ([0.0], np.eye(1, dtype=complex)),
+     ([None], [[1.0]]), ([Fraction(1, 2)], [[1.0]]), ([0.0], [[Decimal("2")]]),
+     (np.array(["1.5"]), [[1.0]])],
+    ids=["text-mean", "ragged-cov", "complex-mean", "bool-mean", "numpy-bool-cov", "bool-array",
+         "numeric-text", "complex-array-mean", "complex-array-cov", "null-mean", "fraction-mean",
+         "decimal-cov", "text-array-mean"],
 )
 def test_malformed_or_boolean_mean_or_covariance_rejected(mean, cov):
     with pytest.raises(MixtureError, match="malformed"):
@@ -152,7 +159,8 @@ def test_log_density_dimension_checked():
         gauss1(0.0, 1.0).log_density(np.zeros(2))
 
 
-@pytest.mark.parametrize("bad", [["a"], [True], np.array([True]), [[0.0], [1.0, 2.0]]])
+@pytest.mark.parametrize("bad", [["a"], [True], np.array([True]), [[0.0], [1.0, 2.0]], ["0.5"],
+                                 np.array([0.5 + 0j])])
 def test_log_density_refuses_malformed_or_boolean_points(bad):
     # [True] used to be read as the point 1.0, whose log density is -0.0 here.
     comp = GaussianComponent([1.0], [[1.0 / (2.0 * math.pi)]])

@@ -60,7 +60,10 @@ def test_non_finite_weight_rejected(bad):
         MixtureModel([bad, 1.0], [std_normal(), std_normal(shift=1.0)])
 
 
-@pytest.mark.parametrize("bad", [["a"], [True], [0.5, False], np.array([True]), "ab"])
+@pytest.mark.parametrize(
+    "bad", [["a"], [True], [0.5, False], np.array([True]), "ab", ["0.5", "0.5"],
+            np.array([0.5, 0.5], dtype=complex), [None, 1.0]],
+)
 def test_malformed_or_boolean_weights_rejected(bad):
     comps = [std_normal(shift=float(k)) for k in range(np.size(bad))]
     with pytest.raises(MixtureError, match="malformed"):
@@ -280,7 +283,8 @@ def test_log_density_checks_the_points_once(monkeypatch, family):
     assert checks == ["mixture"]
 
 
-@pytest.mark.parametrize("bad", [["a", 0.5], [True, 0.5], [[0.0, 0.5], [0.5]]])
+@pytest.mark.parametrize("bad", [["a", 0.5], [True, 0.5], [[0.0, 0.5], [0.5]], ["0.5", 0.5],
+                                 np.array([0.5j, 0.5])])
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
 def test_log_density_refuses_malformed_or_boolean_points(family, bad):
     mix, _ = _streamed_mixture(family, 2)
@@ -460,6 +464,17 @@ def test_grouping_weights_and_counts():
     for labels in ([0, 0, 1, 1, 2, 2.5], ["0", "0", "1", "1", "2", "2"], [True, False] * 3):
         with pytest.raises(MixtureError):
             Grouping(mix, labels)
+
+
+@pytest.mark.parametrize(
+    "labels", [[0, True], [0, np.True_], [0, np.array(True)], [0, [1]]],
+    ids=["bool", "numpy-bool", "bool-0d-array", "ragged"],
+)
+def test_grouping_refuses_a_boolean_or_ragged_label(labels):
+    # [0, True] used to be read as the labels 0 and 1.
+    mix = MixtureModel([0.5, 0.5], [std_normal(), std_normal(shift=1.0)])
+    with pytest.raises(MixtureError, match="integer group label"):
+        Grouping(mix, labels)
 
 
 def test_grouping_ignores_zero_weight_groups():

@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 import mixent._numeric
-from mixent._numeric import forward_substitute, log_sum_exp_axis0, log_sum_exp_rows
+from mixent._numeric import as_floats, forward_substitute, log_sum_exp_axis0, log_sum_exp_rows
 from support import cov_with_condition
 
 
@@ -216,3 +216,13 @@ def test_log_sum_exp_rows_sums_rows_too_long_for_the_limbs_with_fsum(monkeypatch
     assert np.array_equal(log_sum_exp_rows(matrix), expected)
     assert np.array_equal(matrix, shifted)
     assert fallbacks == [matrix.shape[1]] * 7
+
+
+def test_float_intake_takes_every_real_leaf_and_dtype():
+    # The leaf rule refuses bools, strings, complex numbers, None, Fraction and
+    # Decimal; every Python and NumPy int or float still reads as its value.
+    leaves = [1, 2.5, np.float32(0.25), np.int8(-3), np.uint16(4), np.float64(1e-3)]
+    assert as_floats(leaves, "x").tolist() == [1.0, 2.5, 0.25, -3.0, 4.0, 1e-3]
+    assert as_floats(np.float32(0.5), "x").tolist() == 0.5
+    for dtype in (np.int32, np.uint8, np.float16, np.float32, np.longdouble, object):
+        assert as_floats(np.arange(3).astype(dtype), "x").tolist() == [0.0, 1.0, 2.0]

@@ -151,6 +151,20 @@ def test_booleans_are_refused_in_one_module():
     assert not found, f"bool checks outside _numeric.py: {found}"
 
 
+def test_cli_options_state_no_defaults():
+    # An option left out stays out of the library call, so SweepConfig,
+    # estimate_all and mi_bounds state every default once.
+    path = Path(mixent.__file__).parent / "cli.py"
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+        and any(k.arg == "default" for k in node.keywords)
+    ]
+    assert not found, f"add_argument defaults in cli.py: {found}"
+
+
 def test_component_classes_share_one_pair_contract():
     # The family contract: the three matrix kernels and the block log-density.
     contract = {"kl_matrix", "chernoff_matrix", "half_matrices", "_log_density_rows"}

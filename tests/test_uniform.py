@@ -69,8 +69,10 @@ def test_non_finite_bounds_rejected(bad):
 
 @pytest.mark.parametrize(
     "lower, upper",
-    [(["a"], [1.0]), ([False], [True]), ([0.0], np.array([True])), ([[0.0], [0.0, 1.0]], [1.0])],
-    ids=["text-bound", "bool-bounds", "bool-array", "ragged-bound"],
+    [(["a"], [1.0]), ([False], [True]), ([0.0], np.array([True])), ([[0.0], [0.0, 1.0]], [1.0]),
+     (["0"], ["1"]), ([0.0], np.array([1 + 0j])), ([None], [1.0])],
+    ids=["text-bound", "bool-bounds", "bool-array", "ragged-bound", "numeric-text-bounds",
+         "complex-array", "null-bound"],
 )
 def test_malformed_or_boolean_bounds_rejected(lower, upper):
     with pytest.raises(MixtureError, match="malformed"):
@@ -120,7 +122,7 @@ def test_log_density_batch():
     assert out[0] == 0.0 and math.isinf(out[1]) and math.isinf(out[2])
 
 
-@pytest.mark.parametrize("bad", [["a"], [True], [np.False_]])
+@pytest.mark.parametrize("bad", [["a"], [True], [np.False_], ["0.5"], np.array([0.5j])])
 def test_log_density_refuses_malformed_or_boolean_points(bad):
     with pytest.raises(MixtureError, match="malformed"):
         unit_box().log_density(bad)
