@@ -8,152 +8,22 @@ Gaussian noise channels, and the Monte Carlo and quadrature oracles used to
 validate all of the above.
 """
 
-from .errors import (
-    AlphaOutOfRange,
-    BoundViolated,
-    DegenerateBox,
-    DegreesOfFreedomTooSmall,
-    DimensionMismatch,
-    EmptyMixture,
-    InsufficientSamples,
-    MixedFamilies,
-    MixtureError,
-    NegativeWeight,
-    NonFiniteValue,
-    NotOneDimensional,
-    NotPositiveDefinite,
-    UnsupportedDistance,
-    ZeroWeightSum,
-)
-from .estimators import (
-    BHATTACHARYYA,
-    KL,
-    DistanceKind,
-    EstimateReport,
-    chernoff_distance,
-    clustered_gap_bound,
-    elk_estimate,
-    estimate_all,
-    kde_estimate,
-    lower_bound_bd,
-    lower_bound_chernoff,
-    pairwise_distance_matrix,
-    pairwise_estimate,
-    upper_bound_kl,
-)
-from .experiments import (
-    CSV_HEADER,
-    ESTIMATOR_ORDER,
-    EXPERIMENTS,
-    SweepConfig,
-    SweepRow,
-    default_grid,
-    format_csv,
-    gen_gaussian_clustered,
-    gen_gaussian_spread,
-    gen_gaussian_wishart,
-    gen_uniform_clustered,
-    gen_uniform_gamma,
-    gen_uniform_spread,
-    read_csv,
-    render_svg,
-    run_sweep,
-    wishart_bartlett,
-    write_csv,
-)
-from .gaussian import (
-    GaussianComponent,
-    gaussian_bd,
-    gaussian_chernoff,
-    gaussian_elk_cross,
-    gaussian_elk_log_cross,
-    gaussian_kl,
-)
-from .mixture import Grouping, MixtureModel
-from .mixture_io import load_mixture, load_noise_cov, parse_mixture
-from .montecarlo import McResult, mc_entropy, quad_cross_term_1d, quad_entropy_1d
-from .mutual_info import AwgnChannel, awgn_push, mi_bounds
-from .uniform import (
-    UniformBox,
-    uniform_bd,
-    uniform_chernoff,
-    uniform_elk_cross,
-    uniform_elk_log_cross,
-    uniform_kl,
-)
+from .errors import *
+from .estimators import *
+from .experiments import *
+from .gaussian import *
+from .mixture import *
+from .mixture_io import *
+from .montecarlo import *
+from .mutual_info import *
+from .uniform import *
 
+# Each module's __all__ is its public surface.  Importing a submodule binds its
+# name in this package, so the package's surface is the union of theirs.
 __all__ = [
-    "AlphaOutOfRange",
-    "AwgnChannel",
-    "BHATTACHARYYA",
-    "BoundViolated",
-    "CSV_HEADER",
-    "DegenerateBox",
-    "DegreesOfFreedomTooSmall",
-    "DimensionMismatch",
-    "DistanceKind",
-    "ESTIMATOR_ORDER",
-    "EXPERIMENTS",
-    "EmptyMixture",
-    "EstimateReport",
-    "GaussianComponent",
-    "Grouping",
-    "InsufficientSamples",
-    "KL",
-    "McResult",
-    "MixedFamilies",
-    "MixtureError",
-    "MixtureModel",
-    "NegativeWeight",
-    "NonFiniteValue",
-    "NotOneDimensional",
-    "NotPositiveDefinite",
-    "SweepConfig",
-    "SweepRow",
-    "UniformBox",
-    "UnsupportedDistance",
-    "ZeroWeightSum",
-    "awgn_push",
-    "chernoff_distance",
-    "clustered_gap_bound",
-    "default_grid",
-    "elk_estimate",
-    "estimate_all",
-    "format_csv",
-    "gaussian_bd",
-    "gaussian_chernoff",
-    "gaussian_elk_cross",
-    "gaussian_elk_log_cross",
-    "gaussian_kl",
-    "gen_gaussian_clustered",
-    "gen_gaussian_spread",
-    "gen_gaussian_wishart",
-    "gen_uniform_clustered",
-    "gen_uniform_gamma",
-    "gen_uniform_spread",
-    "kde_estimate",
-    "load_mixture",
-    "load_noise_cov",
-    "lower_bound_bd",
-    "lower_bound_chernoff",
-    "mc_entropy",
-    "mi_bounds",
-    "pairwise_distance_matrix",
-    "pairwise_estimate",
-    "parse_mixture",
-    "quad_cross_term_1d",
-    "quad_entropy_1d",
-    "read_csv",
-    "render_svg",
-    "run_sweep",
-    "uniform_bd",
-    "uniform_chernoff",
-    "uniform_elk_cross",
-    "uniform_elk_log_cross",
-    "uniform_kl",
-    "upper_bound_kl",
-    "wishart_bartlett",
-    "write_csv",
+    *errors.__all__, *estimators.__all__, *experiments.__all__, *gaussian.__all__,
+    *mixture.__all__, *mixture_io.__all__, *montecarlo.__all__, *mutual_info.__all__,
+    *uniform.__all__,
 ]
 
 __version__ = "0.1.0"

@@ -1,5 +1,10 @@
 """Exception types raised by mixture construction and the entropy estimators."""
 
+__all__ = ["MixtureError", "NonFiniteValue", "EmptyMixture", "NegativeWeight", "ZeroWeightSum",
+           "DimensionMismatch", "MixedFamilies", "NotPositiveDefinite", "DegenerateBox",
+           "AlphaOutOfRange", "UnsupportedDistance", "BoundViolated", "DegreesOfFreedomTooSmall",
+           "InsufficientSamples", "NotOneDimensional"]
+
 
 class MixtureError(ValueError):
     """Base class for all mixture-model and estimator errors."""

@@ -18,13 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import as_count, as_order, fsum, log_sum_exp_rows
+from ._numeric import as_count, as_labels, as_order, fsum, log_sum_exp_rows
 from .errors import AlphaOutOfRange, BoundViolated, MixtureError, UnsupportedDistance
 # Re-exported, not called here: ``mixent.estimators.gaussian_kl`` was a public
 # name before the component methods, and bench/tests/test_bench.py reads it.
 from .gaussian import gaussian_kl  # noqa: F401
 from .mixture import Grouping, MixtureModel
 from .montecarlo import McResult, mc_entropy
+
+__all__ = ["DistanceKind", "KL", "BHATTACHARYYA", "chernoff_distance", "pairwise_distance_matrix",
+           "pairwise_estimate", "lower_bound_chernoff", "lower_bound_bd", "upper_bound_kl",
+           "kde_estimate", "elk_estimate", "clustered_gap_bound", "EstimateReport", "estimate_all"]
 
 
 @dataclass(frozen=True)
@@ -148,22 +152,23 @@ def clustered_gap_bound(mixture: MixtureModel, grouping: Grouping, alpha: float)
         kappa + (number of non-empty groups - 1) * exp(-(1 - |1 - 2 alpha|) * beta)
 
     which collapses to kappa as the groups separate.  A measured gap above
-    the returned value raises :class:`BoundViolated`.
+    the returned value raises :class:`BoundViolated`; a grouping with another
+    number of labels than the mixture has components raises :class:`MixtureError`.
     """
     alpha = as_order(alpha)
     if alpha == 0.0:
         raise AlphaOutOfRange(f"gap bound needs alpha in (0, 1], got {alpha}")
+    active = mixture.active_indices()
+    labels = np.asarray(as_labels(grouping.assignment, mixture.n_components))[active]
     kl = pairwise_distance_matrix(mixture, KL)
     bd = pairwise_distance_matrix(mixture, BHATTACHARYYA)
-    active = mixture.active_indices()
-    labels = np.asarray(grouping.assignment)[active]
     same = labels[:, None] == labels[None, :]  # kl's zero diagonal cannot raise kappa
     sub = np.ix_(active, active)
     kappa = float(kl[sub][same].max(initial=0.0))
     beta = float(bd[sub][~same].min(initial=math.inf))
     rate = 1.0 - abs(1.0 - 2.0 * alpha)
     decay = 1.0 if rate == 0.0 else math.exp(-rate * beta)
-    bound = kappa + (grouping.n_groups - 1) * decay
+    bound = kappa + (len(np.unique(labels)) - 1) * decay  # groups with an active member
     chernoff = bd if alpha == 0.5 else pairwise_distance_matrix(mixture, chernoff_distance(alpha))
     gap = _estimate_from_matrix(mixture, kl) - _estimate_from_matrix(mixture, chernoff)
     if gap > bound + 1e-9:

@@ -32,6 +32,12 @@ from .gaussian import GaussianComponent
 from .mixture import Grouping, MixtureModel
 from .uniform import UniformBox
 
+__all__ = ["ESTIMATOR_ORDER", "CSV_HEADER", "gen_gaussian_spread", "wishart_bartlett",
+           "gen_gaussian_wishart", "gen_gaussian_clustered", "gen_uniform_spread",
+           "gen_uniform_gamma", "gen_uniform_clustered", "EXPERIMENTS", "default_grid",
+           "SweepConfig", "SweepRow", "run_sweep", "format_csv", "write_csv", "read_csv",
+           "render_svg"]
+
 # Estimator order for report rows: Monte Carlo first, then the two certified
 # bounds, the two baselines, and the exact floor and ceiling.
 ESTIMATOR_ORDER = ("H_MC", "H_KL", "H_BD", "H_KDE", "H_ELK", "H_cond", "H_joint")
@@ -142,8 +148,11 @@ def gen_uniform_gamma(n_components: int, dim: int, sigma: float, seed) -> Mixtur
 
     Half-widths are Gamma(1 + sigma) draws with rate 1 + sigma, so their
     mean is one and their variance 1 / (1 + sigma) shrinks as sigma grows.
+    sigma must exceed -1, the shape's zero, or MixtureError is raised.
     """
     _check_sizes(n_components, dim)
+    if not sigma > -1.0:
+        raise MixtureError(f"gamma sweep needs sigma > -1 for a positive shape, got {sigma!r}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_components, dim))
     shape = 1.0 + sigma
@@ -299,18 +308,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         gen_seed, mc_seed = _point_seeds(seed, config.experiment, index)
         mixture = sweep.build(config, value, dim, gen_seed)
         report = estimate_all(mixture, mc_samples=config.mc_samples, seed=mc_seed)
-        cells = {
-            "H_MC": (report.mc.estimate, report.mc.stderr),
-            "H_KL": (report.h_kl, None),
-            "H_BD": (report.h_bd, None),
-            "H_KDE": (report.h_kde, None),
-            "H_ELK": (report.h_elk, None),
-            "H_cond": (report.h_cond, None),
-            "H_joint": (report.h_joint, None),
-        }
-        for name in ESTIMATOR_ORDER:
-            val, err = cells[name]
-            rows.append(SweepRow(config.experiment, value, name, val, err))
+        rows.append(SweepRow(config.experiment, value, "H_MC",
+                             report.mc.estimate, report.mc.stderr))
+        rows.extend(SweepRow(config.experiment, value, name, getattr(report, name.lower()))
+                    for name in ESTIMATOR_ORDER[1:])  # H_BD: report.h_bd
     return rows
 
 
@@ -376,10 +377,14 @@ def render_svg(rows, path) -> None:
 
     One polyline per estimator in the line list, plus one shaded band
     between the exact floor (H_cond) and ceiling (H_joint).  The parameter
-    axis is logarithmic.
+    axis is logarithmic, so a parameter that is not positive and finite
+    raises MixtureError before anything is written.
     """
     if not rows:
         raise MixtureError("no sweep rows to plot")
+    bad = [r.param for r in rows if not 0.0 < r.param < math.inf]
+    if bad:
+        raise MixtureError(f"cannot plot parameter {bad[0]!r} on a log axis")
     floor = _series(rows, "H_cond")
     ceiling = _series(rows, "H_joint")
     lines = [(name, color, _series(rows, name)) for name, color in _SERIES_STYLE]

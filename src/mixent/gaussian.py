@@ -30,6 +30,9 @@ import numpy as np
 from ._numeric import as_count, as_floats, as_order, as_points, check_pair, forward_substitute
 from .errors import DimensionMismatch, NotPositiveDefinite
 
+__all__ = ["GaussianComponent", "gaussian_kl", "gaussian_chernoff", "gaussian_bd",
+           "gaussian_elk_log_cross", "gaussian_elk_cross"]
+
 _LOG_2PI = math.log(2.0 * math.pi)
 
 # Relative symmetry tolerance and Cholesky pivot floor used at construction.

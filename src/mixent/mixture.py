@@ -24,6 +24,8 @@ from .errors import (
 from .gaussian import GaussianComponent
 from .uniform import UniformBox
 
+__all__ = ["MixtureModel", "Grouping"]
+
 # Points per block in MixtureModel.log_density and in the grouped draws: the
 # (d, block) point buffer, the K x block row buffer and each component's
 # block temporaries stay cache-sized however many points are drawn or

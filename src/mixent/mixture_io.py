@@ -29,6 +29,8 @@ from .gaussian import GaussianComponent
 from .mixture import MixtureModel
 from .uniform import UniformBox
 
+__all__ = ["parse_mixture", "load_mixture", "load_noise_cov"]
+
 
 def parse_mixture(data: dict) -> MixtureModel:
     """Build a MixtureModel from a parsed mixture definition.

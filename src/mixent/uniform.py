@@ -13,6 +13,9 @@ import numpy as np
 from ._numeric import NEG_INF, as_count, as_floats, as_order, as_points, check_pair, fsum
 from .errors import DegenerateBox, DimensionMismatch
 
+__all__ = ["UniformBox", "uniform_kl", "uniform_chernoff", "uniform_bd", "uniform_elk_log_cross",
+           "uniform_elk_cross"]
+
 
 class UniformBox:
     """Uniform density on the closed axis-aligned box [lower, upper].

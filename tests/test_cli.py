@@ -244,6 +244,23 @@ def test_sweep_writes_files(tmp_path, capsys):
     assert plot.read_text().lstrip().startswith("<svg")
 
 
+def test_sweep_plot_of_an_underflowed_grid_is_a_one_line_error(tmp_path, capsys):
+    # exp(-800) is 0.0: the sweep is well defined there, its log-axis plot is not.
+    out = tmp_path / "rows.csv"
+    plot = tmp_path / "rows.svg"
+    code = main(
+        ["sweep", "--experiment", "g1", "--grid=-800:0:2", "--n", "3", "--dim", "2",
+         "--mc", "50", "--out", str(out), "--plot", str(plot)]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "log axis" in captured.err
+    assert read_csv(out)[0].param == 0.0
+    assert not plot.exists()
+
+
 def test_sweep_repeat_is_bit_identical(tmp_path):
     args = ["sweep", "--experiment", "g3", "--grid", "2:4:2", "--n", "6", "--dim", "2",
             "--clusters", "3", "--mc", "200"]

@@ -454,6 +454,25 @@ def test_gap_above_the_bound_raises(monkeypatch):
         clustered_gap_bound(mix, Grouping(mix, [0, 1, 2]), 0.5)
 
 
+@pytest.mark.parametrize("size", [2, 6])
+def test_gap_bound_refuses_a_grouping_of_another_size(size):
+    rng = np.random.default_rng(22)
+    mix = random_gaussian_mixture(rng, 4, 2)
+    other = random_gaussian_mixture(rng, size, 2)
+    with pytest.raises(MixtureError, match=r"label per component \(4\)"):
+        clustered_gap_bound(mix, Grouping(other, list(range(size))), 0.5)
+
+
+def test_gap_bound_counts_the_groups_of_its_own_active_components():
+    # The grouping's own mixture weighs all four labels; this one only two.
+    rng = np.random.default_rng(23)
+    full = random_gaussian_mixture(rng, 4, 2)
+    mix = MixtureModel([0.5, 0.5, 0.0, 0.0], full.components)
+    labels = [0, 1, 2, 3]
+    own = clustered_gap_bound(mix, Grouping(mix, labels), 0.5)
+    assert clustered_gap_bound(mix, Grouping(full, labels), 0.5) == own
+
+
 def test_gap_bound_holds_on_random_grouped_mixtures():
     rng = np.random.default_rng(16)
     for _ in range(10):

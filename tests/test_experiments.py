@@ -171,6 +171,13 @@ def test_uniform_gamma_half_width_moments():
     assert abs(halves.var() - expected_var) / expected_var < 0.1
 
 
+@pytest.mark.parametrize("sigma", [-1.0, -2.0])
+def test_uniform_gamma_refuses_a_shape_that_is_not_positive(sigma):
+    with pytest.raises(MixtureError, match="sigma > -1"):
+        run_sweep(SweepConfig("u2", grid=(sigma, 1.0)))
+    assert gen_uniform_gamma(4, 2, -0.5, seed=0).n_components == 4
+
+
 def test_tiny_spread_collapses_the_gaussian_report():
     mix = gen_gaussian_spread(10, 3, 1e-12, seed=8)
     assert upper_bound_kl(mix) - mix.conditional_entropy() <= 1e-9
@@ -461,3 +468,12 @@ def test_render_svg_structure(tmp_path):
 def test_render_svg_rejects_empty_rows(tmp_path):
     with pytest.raises(MixtureError):
         render_svg([], tmp_path / "empty.svg")
+
+
+@pytest.mark.parametrize("param", [0.0, -1.0, math.inf, math.nan])
+def test_render_svg_refuses_a_parameter_off_the_log_axis(tmp_path, param):
+    rows = [SweepRow("g1", p, name, 1.0) for p in (1.0, param) for name in ESTIMATOR_ORDER]
+    path = tmp_path / "bad.svg"
+    with pytest.raises(MixtureError, match="log axis"):
+        render_svg(rows, path)
+    assert not path.exists()

@@ -182,6 +182,40 @@ def test_public_names_are_unique_and_resolve():
     assert set(mixent.__all__) <= set(namespace)
 
 
+def test_each_module_states_its_public_names_once():
+    # Which names are public is decided beside their definitions: each module
+    # the package republishes declares one __all__, __init__.py takes each by
+    # a star import and lists no names itself, and no name has two modules.
+    package = Path(mixent.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text(), filename="__init__.py")
+    relative = [n for n in ast.walk(init) if isinstance(n, ast.ImportFrom) and n.level]
+    assert len(relative) >= 9
+    found = [f"__init__.py:{n.lineno}" for n in relative if [a.name for a in n.names] != ["*"]]
+    assert not found, f"package imports other than `from .module import *`: {found}"
+    found = [
+        f"__init__.py:{node.lineno}"
+        for node in ast.walk(init)
+        if isinstance(node, (ast.List, ast.Tuple, ast.Set))
+        and any(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)
+    ]
+    assert not found, f"name lists in __init__.py: {found}"
+
+    owners = Counter()
+    for module in (n.module for n in relative):
+        path = package / f"{module}.py"
+        declared = [
+            node.value
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        ]
+        assert len(declared) == 1, f"{module}.py declares __all__ {len(declared)} times"
+        owners.update(ast.literal_eval(declared[0]))
+    twice = [name for name, count in owners.items() if count > 1]
+    assert not twice, f"names in two module lists: {twice}"
+    assert sorted(owners) == sorted(mixent.__all__)
+
+
 def test_every_module_level_definition_is_used_or_public():
     # A helper that loses its last caller must go with it: every module-level
     # function or class is named somewhere outside its own body, or exported.
