@@ -51,6 +51,13 @@ def _check_sizes(n_components, dim) -> None:
     as_count(dim, 1, "mixture dimension", MixtureError)
 
 
+def _gen_spread(make, n_components, dim, sigma, seed):
+    # shared body of the spread generators; make(mean) builds one component
+    rng = np.random.default_rng(seed)
+    means = sigma * rng.standard_normal((n_components, dim))
+    return MixtureModel(np.ones(n_components), [make(m) for m in means])
+
+
 def gen_gaussian_spread(n_components: int, dim: int, sigma: float, seed) -> MixtureModel:
     """Equal-weight unit-covariance components with means scattered at scale sigma.
 
@@ -59,11 +66,8 @@ def gen_gaussian_spread(n_components: int, dim: int, sigma: float, seed) -> Mixt
     and large sigma separates all components completely.
     """
     _check_sizes(n_components, dim)
-    rng = np.random.default_rng(seed)
-    means = sigma * rng.standard_normal((n_components, dim))
     eye = np.eye(dim)
-    comps = [GaussianComponent(m, eye) for m in means]
-    return MixtureModel(np.ones(n_components), comps)
+    return _gen_spread(lambda mean: GaussianComponent(mean, eye), n_components, dim, sigma, seed)
 
 
 def wishart_bartlett(rng, dim: int, dof: float, scale: float) -> np.ndarray:
@@ -71,9 +75,15 @@ def wishart_bartlett(rng, dim: int, dof: float, scale: float) -> np.ndarray:
 
     The factor is lower triangular with chi-square diagonal entries (dof
     down to dof - dim + 1 degrees of freedom) and standard normal strict
-    lower triangle; the draw is scale * A A^T.  Needs dof >= dim.
+    lower triangle; the draw is scale * A A^T.  Needs dof >= dim and scale > 0:
+    dof and scale are read as every float is, so a bool or a non-finite value
+    is refused, and a non-positive scale raises MixtureError before any draw.
     """
     as_count(dim, 1, "mixture dimension", MixtureError)
+    params = as_floats((dof, scale), "wishart dof and scale")
+    if params.shape != (2,) or not params[1] > 0.0:
+        raise MixtureError(f"wishart needs a real dof and a scale > 0, got {dof!r} and {scale!r}")
+    dof, scale = params.tolist()
     if dof < dim:
         raise DegreesOfFreedomTooSmall(f"wishart needs dof >= dim, got dof={dof}, dim={dim}")
     a = np.zeros((dim, dim))
@@ -137,10 +147,8 @@ def gen_gaussian_clustered(
 def gen_uniform_spread(n_components: int, dim: int, sigma: float, seed) -> MixtureModel:
     """Equal-weight unit-half-width boxes centered at scattered means."""
     _check_sizes(n_components, dim)
-    rng = np.random.default_rng(seed)
-    means = sigma * rng.standard_normal((n_components, dim))
-    comps = [UniformBox(m - 1.0, m + 1.0) for m in means]
-    return MixtureModel(np.ones(n_components), comps)
+    return _gen_spread(lambda mean: UniformBox(mean - 1.0, mean + 1.0),
+                       n_components, dim, sigma, seed)
 
 
 def gen_uniform_gamma(n_components: int, dim: int, sigma: float, seed) -> MixtureModel:
@@ -376,23 +384,25 @@ def render_svg(rows, path) -> None:
     """Write a small self-contained SVG chart of one sweep.
 
     One polyline per estimator in the line list, plus one shaded band
-    between the exact floor (H_cond) and ceiling (H_joint).  The parameter
-    axis is logarithmic, so a parameter that is not positive and finite
-    raises MixtureError before anything is written.
+    between whatever rows of the exact floor (H_cond) and ceiling (H_joint)
+    there are.  Both axes span every row.  The parameter axis is
+    logarithmic, so a parameter that is not positive and finite, or a value
+    that is not finite, raises MixtureError before anything is written.
     """
     if not rows:
         raise MixtureError("no sweep rows to plot")
     bad = [r.param for r in rows if not 0.0 < r.param < math.inf]
     if bad:
         raise MixtureError(f"cannot plot parameter {bad[0]!r} on a log axis")
+    bad = [r.value for r in rows if not math.isfinite(r.value)]
+    if bad:
+        raise MixtureError(f"cannot plot the value {bad[0]!r}, which is not finite")
     floor = _series(rows, "H_cond")
     ceiling = _series(rows, "H_joint")
     lines = [(name, color, _series(rows, name)) for name, color in _SERIES_STYLE]
 
-    xs = [math.log(p) for p, _ in floor]
-    ys = [v for _, v in floor] + [v for _, v in ceiling]
-    for _, _, pts in lines:
-        ys.extend(v for _, v in pts)
+    xs = [math.log(r.param) for r in rows]
+    ys = [r.value for r in rows]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0

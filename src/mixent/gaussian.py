@@ -55,10 +55,10 @@ class GaussianComponent:
 
     The lower-triangular Cholesky factor L is computed once and reused by
     every downstream operation; ``inv_chol`` holds L^-1, used by
-    ``log_density`` and ``kl_matrix``.  The estimators reach the family's
-    pairwise matrix kernels below through the ``kl_matrix``,
-    ``chernoff_matrix`` and ``half_matrices`` classmethods; ``half_matrices``
-    returns the Bhattacharyya and ELK matrices of one order-1/2 pass.
+    ``log_density`` and ``kl_matrix``.  The family's pairwise matrix kernels,
+    which the estimators call, are the ``kl_matrix``, ``chernoff_matrix`` and
+    ``half_matrices`` classmethods; ``half_matrices`` returns the
+    Bhattacharyya and ELK matrices of one order-1/2 pass.
     """
 
     __slots__ = ("mean", "cov", "chol", "inv_chol", "log_det")
@@ -153,15 +153,63 @@ class GaussianComponent:
 
     @classmethod
     def kl_matrix(cls, comps) -> np.ndarray:
-        return gaussian_kl_matrix(comps)
+        """KL(comps[i] || comps[j]) for every pair, with an exactly zero diagonal.
 
-    @classmethod
-    def chernoff_matrix(cls, comps, alpha: float) -> np.ndarray:
-        return gaussian_chernoff_matrix(comps, alpha)
+        Each block of columns j applies the stored L_j^-1 in two stacked
+        products: one with every mean difference mean_i - mean_j, and one with
+        every Cholesky factor L_i side by side, whose squared norm is the trace
+        term.  A column's arithmetic does not depend on the block it falls in.
+        """
+        n, d = len(comps), comps[0].dim
+        means, log_dets = _stacked(comps, "mean", "log_det")
+        factors = np.concatenate([c.chol for c in comps], axis=1)
+        step = max(1, _BLOCK_FLOATS // (d * n * (d + 1)))
+        out = np.empty((n, n))
+        for start in range(0, n, step):
+            js = slice(start, start + step)
+            inv = np.array([c.inv_chol for c in comps[js]])
+            z = inv @ (means - means[js, None]).transpose(0, 2, 1)
+            a = inv @ factors
+            with np.errstate(over="ignore"):  # +inf is exact here too; see _mahalanobis_sq
+                quad = np.square(z, out=z).sum(axis=1)
+                trace = np.square(a, out=a).sum(axis=1).reshape(-1, n, d).sum(axis=2)
+            out[:, js] = (0.5 * (log_dets[js, None] - log_dets + quad + trace - d)).T
+        np.fill_diagonal(out, 0.0)
+        return np.maximum(out, 0.0)
 
     @classmethod
     def half_matrices(cls, comps):
-        return gaussian_half_matrices(comps)
+        """(Bhattacharyya distance, ln int p_i p_j dx) for every pair, from one
+        factorization of S_ij = cov_i + cov_j per unordered pair i <= j: the
+        driver's divergence at equal weights, q / 4 + ((ln|S_ij| - ln|S_ii|) +
+        (ln|S_ij| - ln|S_jj|)) / 4, and -(q + ln|S_ij| + d ln 2 pi) / 2.  Both
+        matrices are symmetric; the distance is clamped at zero.
+        """
+        n, d = len(comps), comps[0].dim
+        rows, cols = np.triu_indices(n)
+        divergence, quad, log_det = _pair_terms(comps, rows, cols, 1.0, 1.0)
+        bd, elk = np.empty((n, n)), np.empty((n, n))
+        bd[rows, cols] = bd[cols, rows] = divergence
+        elk[rows, cols] = elk[cols, rows] = -0.5 * (quad + log_det + d * _LOG_2PI)
+        return np.maximum(bd, 0.0), elk
+
+    @classmethod
+    def chernoff_matrix(cls, comps, alpha: float) -> np.ndarray:
+        """Order-alpha Chernoff divergence for every pair, for an alpha in [0, 1]
+        (``DistanceKind`` checks the order; this kernel does not).
+
+        Order 1/2 is the distance of ``half_matrices``.  Any other order
+        factors (1 - alpha) cov_i + alpha cov_j over all N^2 ordered pairs,
+        because that blend is not symmetric in (i, j).
+        """
+        n = len(comps)
+        if alpha == 0.0 or alpha == 1.0:
+            return np.zeros((n, n))
+        if alpha == 0.5:
+            return cls.half_matrices(comps)[0]
+        rows, cols = np.indices((n, n)).reshape(2, -1)
+        divergence = _pair_terms(comps, rows, cols, 1.0 - alpha, alpha)[0]
+        return np.maximum(divergence.reshape(n, n), 0.0)
 
 
 def _mahalanobis_sq(chol: np.ndarray, delta: np.ndarray):
@@ -234,11 +282,12 @@ def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
     return math.exp(gaussian_elk_log_cross(a, b))
 
 
-# Matrix kernels: entry [i, j] equals the scalar function above at
-# (comps[i], comps[j]) to rounding.  The scalar functions stay the reference.
+# Helpers of the matrix kernels, the classmethods of GaussianComponent.  Entry
+# [i, j] of a kernel equals the scalar function above at (comps[i], comps[j])
+# to rounding.  The scalar functions stay the reference.
 
 # Floats per stacked temporary: a block of _pair_terms holds
-# max(1, _BLOCK_FLOATS // d^2) pairs and a block of gaussian_kl_matrix
+# max(1, _BLOCK_FLOATS // d^2) pairs and a block of kl_matrix
 # max(1, _BLOCK_FLOATS // (d N (d + 1))) columns, so their memory is the same
 # at any N and d (unless one pair or column alone exceeds it).
 _BLOCK_FLOATS = 1 << 15
@@ -277,63 +326,3 @@ def _pair_terms(comps, rows, cols, w_row: float, w_col: float):
     total = w_row + w_col
     self_terms = w_row * (log_det - self_log_det[rows]) + w_col * (log_det - self_log_det[cols])
     return 0.5 * (w_row * w_col / total * quad + self_terms / total), quad, log_det
-
-
-def gaussian_kl_matrix(comps) -> np.ndarray:
-    """KL(comps[i] || comps[j]) for every pair, with an exactly zero diagonal.
-
-    Each block of columns j applies the stored L_j^-1 in two stacked
-    products: one with every mean difference mean_i - mean_j, and one with
-    every Cholesky factor L_i side by side, whose squared norm is the trace
-    term.  A column's arithmetic does not depend on the block it falls in.
-    """
-    n, d = len(comps), comps[0].dim
-    means, log_dets = _stacked(comps, "mean", "log_det")
-    factors = np.concatenate([c.chol for c in comps], axis=1)
-    step = max(1, _BLOCK_FLOATS // (d * n * (d + 1)))
-    out = np.empty((n, n))
-    for start in range(0, n, step):
-        js = slice(start, start + step)
-        inv = np.array([c.inv_chol for c in comps[js]])
-        z = inv @ (means - means[js, None]).transpose(0, 2, 1)
-        a = inv @ factors
-        with np.errstate(over="ignore"):  # +inf is exact here too; see _mahalanobis_sq
-            quad = np.square(z, out=z).sum(axis=1)
-            trace = np.square(a, out=a).sum(axis=1).reshape(-1, n, d).sum(axis=2)
-        out[:, js] = (0.5 * (log_dets[js, None] - log_dets + quad + trace - d)).T
-    np.fill_diagonal(out, 0.0)
-    return np.maximum(out, 0.0)
-
-
-def gaussian_half_matrices(comps):
-    """(Bhattacharyya distance, ln int p_i p_j dx) for every pair, from one
-    factorization of S_ij = cov_i + cov_j per unordered pair i <= j: the
-    driver's divergence at equal weights, q / 4 + ((ln|S_ij| - ln|S_ii|) +
-    (ln|S_ij| - ln|S_jj|)) / 4, and -(q + ln|S_ij| + d ln 2 pi) / 2.  Both
-    matrices are symmetric; the distance is clamped at zero.
-    """
-    n, d = len(comps), comps[0].dim
-    rows, cols = np.triu_indices(n)
-    divergence, quad, log_det = _pair_terms(comps, rows, cols, 1.0, 1.0)
-    bd, elk = np.empty((n, n)), np.empty((n, n))
-    bd[rows, cols] = bd[cols, rows] = divergence
-    elk[rows, cols] = elk[cols, rows] = -0.5 * (quad + log_det + d * _LOG_2PI)
-    return np.maximum(bd, 0.0), elk
-
-
-def gaussian_chernoff_matrix(comps, alpha: float) -> np.ndarray:
-    """Order-alpha Chernoff divergence for every pair, for an alpha in [0, 1]
-    (``DistanceKind`` checks the order; this kernel does not).
-
-    Order 1/2 is the distance of ``gaussian_half_matrices``.  Any other order
-    factors (1 - alpha) cov_i + alpha cov_j over all N^2 ordered pairs,
-    because that blend is not symmetric in (i, j).
-    """
-    n = len(comps)
-    if alpha == 0.0 or alpha == 1.0:
-        return np.zeros((n, n))
-    if alpha == 0.5:
-        return gaussian_half_matrices(comps)[0]
-    rows, cols = np.indices((n, n)).reshape(2, -1)
-    divergence = _pair_terms(comps, rows, cols, 1.0 - alpha, alpha)[0]
-    return np.maximum(divergence.reshape(n, n), 0.0)

@@ -208,9 +208,9 @@ class Grouping:
 
     ``assignment[i]`` is the integer group label of component i, and
     ``group_weights`` maps each label to the total mixture weight of its
-    members.  Labels whose total weight is zero count as empty groups.
-    Labels are read by :func:`~mixent._numeric.as_labels`: integers, negative
-    ones too, and never a bool.
+    members, 0.0 for a label whose members all weigh zero.  Labels are read
+    by :func:`~mixent._numeric.as_labels`: integers, negative ones too, and
+    never a bool.
     """
 
     __slots__ = ("assignment", "group_weights")
@@ -222,8 +222,3 @@ class Grouping:
             buckets.setdefault(label, []).append(float(w))
         self.assignment = assignment
         self.group_weights = {label: fsum(ws) for label, ws in sorted(buckets.items())}
-
-    @property
-    def n_groups(self) -> int:
-        """Number of groups that carry positive weight."""
-        return sum(1 for w in self.group_weights.values() if w > 0)

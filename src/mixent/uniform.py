@@ -20,8 +20,8 @@ __all__ = ["UniformBox", "uniform_kl", "uniform_chernoff", "uniform_bd", "unifor
 class UniformBox:
     """Uniform density on the closed axis-aligned box [lower, upper].
 
-    The estimators reach the family's pairwise matrix kernels below through
-    the ``kl_matrix``, ``chernoff_matrix`` (any order in [0, 1]) and
+    The family's pairwise matrix kernels, which the estimators call, are the
+    ``kl_matrix``, ``chernoff_matrix`` (any order in [0, 1]) and
     ``half_matrices`` classmethods; ``half_matrices`` returns the
     Bhattacharyya and ELK matrices of one log-overlap pass, as for Gaussians.
     """
@@ -81,15 +81,30 @@ class UniformBox:
 
     @classmethod
     def kl_matrix(cls, comps) -> np.ndarray:
-        return uniform_kl_matrix(comps)
+        """KL(comps[i] || comps[j]) for every pair: +inf unless box j contains box i."""
+        lowers, uppers, log_volumes = _bounds(comps)
+        out = np.empty((len(comps), len(comps)))
+        for i, a in enumerate(comps):
+            contained = _within(a.lower, a.upper, lowers, uppers)
+            out[i] = np.where(contained, np.maximum(log_volumes - a.log_volume, 0.0), math.inf)
+        return out
 
     @classmethod
     def chernoff_matrix(cls, comps, alpha: float) -> np.ndarray:
-        return uniform_chernoff_matrix(comps, alpha)
+        """Order-alpha Chernoff divergence for every pair, for an alpha in [0, 1]
+        (``DistanceKind`` checks the order; this kernel does not)."""
+        if alpha == 0.0 or alpha == 1.0:
+            return np.zeros((len(comps), len(comps)))
+        return _chernoff(*_log_overlaps(comps), alpha)
 
     @classmethod
     def half_matrices(cls, comps):
-        return uniform_half_matrices(comps)
+        """(Bhattacharyya distance, ln int p_i p_j dx) for every pair from one
+        log-overlap matrix; the ELK term is ln V_ij - ln V_i - ln V_j, -inf where
+        the boxes are disjoint or only touch.  Both matrices are symmetric."""
+        log_overlap, log_volumes = _log_overlaps(comps)
+        elk = log_overlap - (log_volumes[:, None] + log_volumes)
+        return _chernoff(log_overlap, log_volumes, 0.5), elk
 
 
 def _log_overlap(a: UniformBox, b: UniformBox) -> float:
@@ -137,7 +152,8 @@ def uniform_elk_cross(a: UniformBox, b: UniformBox) -> float:
     return math.exp(uniform_elk_log_cross(a, b))
 
 
-# Matrix kernels: entry [i, j] equals the scalar function above at
+# Helpers of the matrix kernels, the classmethods of UniformBox.  Entry
+# [i, j] of a kernel equals the scalar function above at
 # (comps[i], comps[j]) to rounding, computed in N vectorised steps over
 # broadcast bounds, each holding O(N d) memory.  The Chernoff and ELK
 # matrices share one log-overlap matrix; KL needs only containment.  The
@@ -178,30 +194,3 @@ def _chernoff(log_overlap, log_volumes, alpha: float) -> np.ndarray:
     the nesting overrides make both differences exactly zero for identical boxes."""
     out = alpha * (log_volumes[:, None] - log_overlap) + (1.0 - alpha) * (log_volumes - log_overlap)
     return np.maximum(out, 0.0)
-
-
-def uniform_kl_matrix(comps) -> np.ndarray:
-    """KL(comps[i] || comps[j]) for every pair: +inf unless box j contains box i."""
-    lowers, uppers, log_volumes = _bounds(comps)
-    out = np.empty((len(comps), len(comps)))
-    for i, a in enumerate(comps):
-        contained = _within(a.lower, a.upper, lowers, uppers)
-        out[i] = np.where(contained, np.maximum(log_volumes - a.log_volume, 0.0), math.inf)
-    return out
-
-
-def uniform_chernoff_matrix(comps, alpha: float) -> np.ndarray:
-    """Order-alpha Chernoff divergence for every pair, for an alpha in [0, 1]
-    (``DistanceKind`` checks the order; this kernel does not)."""
-    if alpha == 0.0 or alpha == 1.0:
-        return np.zeros((len(comps), len(comps)))
-    return _chernoff(*_log_overlaps(comps), alpha)
-
-
-def uniform_half_matrices(comps):
-    """(Bhattacharyya distance, ln int p_i p_j dx) for every pair from one
-    log-overlap matrix; the ELK term is ln V_ij - ln V_i - ln V_j, -inf where
-    the boxes are disjoint or only touch.  Both matrices are symmetric."""
-    log_overlap, log_volumes = _log_overlaps(comps)
-    elk = log_overlap - (log_volumes[:, None] + log_volumes)
-    return _chernoff(log_overlap, log_volumes, 0.5), elk

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,44 @@ def mp_gaussian_chernoff(a: GaussianComponent, b: GaussianComponent, alpha: floa
         log_dets = (_mp_log_det(mpmath, mixed) - (1 - order) * _mp_log_det(mpmath, cov_a)
                     - order * _mp_log_det(mpmath, cov_b))
         return float(order * (1 - order) * _mp_quad(mpmath, mixed, delta) / 2 + log_dets / 2)
+
+
+def _mp_log_volume(mpmath, sides):
+    """ln of the product of exact positive Fractions, at the working precision."""
+    mpf = mpmath.mpf
+    return mpmath.fsum(mpmath.log(mpf(s.numerator)) - mpmath.log(mpf(s.denominator)) for s in sides)
+
+
+def mp_box_pair(a: UniformBox, b: UniformBox, alpha: float = 0.5) -> tuple[float, float, float]:
+    """(KL(a || b), C_alpha(a || b), ln int a b dx) at 60 digits, rounded to floats.
+
+    Every float bound is a rational, so each side of a, of b and of their
+    overlap box is formed exactly with ``fractions.Fraction``; an overlap
+    side that is not positive (disjoint or touching boxes) makes the overlap
+    volume exactly zero.  Only the logs of the sides are taken with mpmath,
+    at ``mp.dps = 60``.  Then KL = ln V_b - ln V_a if b contains a and +inf
+    otherwise, C_alpha = alpha ln V_a + (1 - alpha) ln V_b - ln V_ab, and
+    ln int a b = ln V_ab - ln V_a - ln V_b, with ln 0 = -inf exactly; alpha
+    is taken as exact.  The default order 1/2 gives the Bhattacharyya
+    distance.  It shares no code with the package.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    lower_a, upper_a, lower_b, upper_b = (
+        [Fraction(x) for x in bound.tolist()] for bound in (a.lower, a.upper, b.lower, b.upper))
+    overlap = [min(ua, ub) - max(la, lb)
+               for la, ua, lb, ub in zip(lower_a, upper_a, lower_b, upper_b)]
+    contained = all(lb <= la and ua <= ub
+                    for la, ua, lb, ub in zip(lower_a, upper_a, lower_b, upper_b))
+    with mpmath.mp.workdps(60):
+        log_a = _mp_log_volume(mpmath, [u - lo for lo, u in zip(lower_a, upper_a)])
+        log_b = _mp_log_volume(mpmath, [u - lo for lo, u in zip(lower_b, upper_b)])
+        kl = float(log_b - log_a) if contained else math.inf
+        if min(overlap) <= 0:
+            return kl, math.inf, -math.inf
+        log_ab = _mp_log_volume(mpmath, overlap)
+        order = mpmath.mpf(alpha)
+        chernoff = order * log_a + (1 - order) * log_b - log_ab
+        return kl, float(chernoff), float(log_ab - log_a - log_b)
 
 
 def random_gaussian_mixture(

@@ -522,7 +522,7 @@ def test_estimate_all_bracket_fields_do_not_depend_on_component_order(family, se
 
 
 def test_gaussian_bd_matrix_does_not_depend_on_component_order():
-    # gaussian_half_matrices forms each entry for i <= j only, so the self
+    # GaussianComponent.half_matrices forms each entry for i <= j only, so the self
     # terms ln|S_ii| and ln|S_jj| must enter in an order-free way.
     comps = random_gaussian_mixture(np.random.default_rng(3), 40, 3).components
     reversed_bd = pairwise_distance_matrix(MixtureModel(np.ones(40), comps[::-1]), BHATTACHARYYA)
@@ -533,7 +533,7 @@ def test_gaussian_bd_matrix_does_not_depend_on_component_order():
 # The function behind each family's order-1/2 pass: the Gaussian pair
 # factorization, and the box log-overlap matrix.
 HALF_PASS = {
-    "gaussian": (mixent.gaussian, "gaussian_half_matrices", random_gaussian_mixture),
+    "gaussian": (mixent.gaussian, "_pair_terms", random_gaussian_mixture),
     "uniform": (mixent.uniform, "_log_overlaps", random_uniform_mixture),
 }
 
@@ -549,9 +549,9 @@ def test_estimates_run_one_order_half_pass(monkeypatch, matrix_builds, estimate,
     sizes = []
     original = getattr(module, name)
 
-    def counted(comps):
+    def counted(comps, *args):
         sizes.append(len(comps))
-        return original(comps)
+        return original(comps, *args)
 
     monkeypatch.setattr(module, name, counted)
     estimate(build(np.random.default_rng(20), 4, 2))

@@ -13,6 +13,7 @@ from mixent import (
     EXPERIMENTS,
     DegreesOfFreedomTooSmall,
     MixtureError,
+    NonFiniteValue,
     SweepConfig,
     SweepRow,
     default_grid,
@@ -104,6 +105,30 @@ def test_wishart_refuses_a_dimension_that_is_not_a_positive_integer(dim):
         wishart_bartlett(np.random.default_rng(0), dim, 4.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "dof, scale, error",
+    [(math.nan, 1.0, NonFiniteValue), (math.inf, 1.0, NonFiniteValue),
+     (8.0, math.nan, NonFiniteValue), (8.0, -math.inf, NonFiniteValue),
+     (8.0, True, MixtureError), (np.True_, 1.0, MixtureError), ("8", 1.0, MixtureError),
+     ([8.0], 1.0, MixtureError), ([8.0, 9.0], [1.0, 1.0], MixtureError),
+     (8.0, -1.0, MixtureError), (8.0, 0.0, MixtureError), (8.0, -0.0, MixtureError)],
+)
+def test_wishart_refuses_a_dof_or_scale_that_is_not_a_finite_real(dof, scale, error):
+    # Unchecked, a NaN dof or scale gives an all-NaN matrix and scale -1 a
+    # negative-definite one.  The refusal comes before anything is drawn.
+    rng = np.random.default_rng(0)
+    with pytest.raises(error) as raised:
+        wishart_bartlett(rng, 3, dof, scale)
+    assert not isinstance(raised.value, DegreesOfFreedomTooSmall)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_wishart_takes_an_integer_dof_and_scale_as_their_floats():
+    draws = [wishart_bartlett(np.random.default_rng(4), 3, dof, scale)
+             for dof, scale in ((6, 2), (6.0, 2.0), (np.int64(6), np.float64(2.0)))]
+    assert all(np.array_equal(draw, draws[0]) for draw in draws)
+
+
 def test_wishart_draws_are_symmetric_positive_definite():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -134,7 +159,7 @@ def test_gaussian_wishart_mixture_structure():
 
 def test_clustered_components_share_centers_exactly():
     mix, grouping = gen_gaussian_clustered(12, 4, 3, 50.0, seed=4)
-    assert mix.n_components == 12 and grouping.n_groups <= 3
+    assert mix.n_components == 12 and len(set(grouping.assignment)) <= 3
     for i, label in enumerate(grouping.assignment):
         for j, other in enumerate(grouping.assignment):
             if label == other:
@@ -468,6 +493,31 @@ def test_render_svg_structure(tmp_path):
 def test_render_svg_rejects_empty_rows(tmp_path):
     with pytest.raises(MixtureError):
         render_svg([], tmp_path / "empty.svg")
+
+
+def test_render_svg_takes_both_axes_from_every_row(tmp_path):
+    # Rows of one estimator alone, with no H_cond or H_joint rows, set both axes.
+    rows = [SweepRow("g1", 1.0, "H_KL", 1.0), SweepRow("g1", math.e, "H_KL", 3.0)]
+    path = tmp_path / "partial.svg"
+    render_svg(rows, path)
+    root = ET.fromstring(path.read_text(encoding="ascii"))
+    ns = {"s": "http://www.w3.org/2000/svg"}
+    points = {e.get("data-series"): e.get("points") for e in root.findall(".//s:polyline", ns)}
+    assert points["H_KL"] == "56.00,384.00 584.00,56.00"  # the corners of the plot area
+    assert points["H_BD"] == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_render_svg_refuses_a_value_that_is_not_finite(tmp_path, value):
+    # read_csv takes the text "nan" as a float, which would be drawn as the
+    # coordinate "nan".
+    rows = [SweepRow("g1", p, name, 1.0) for p in (1.0, 2.0) for name in ESTIMATOR_ORDER]
+    csv = tmp_path / "sweep.csv"
+    csv.write_text(format_csv(rows).replace(",H_KL,1,", f",H_KL,{value},", 1), encoding="ascii")
+    path = tmp_path / "bad.svg"
+    with pytest.raises(MixtureError, match="not finite"):
+        render_svg(read_csv(csv), path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("param", [0.0, -1.0, math.inf, math.nan])

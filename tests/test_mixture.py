@@ -26,6 +26,7 @@ from mixent import (
     UniformBox,
     UnsupportedDistance,
     ZeroWeightSum,
+    clustered_gap_bound,
 )
 from mixent.mixture import _BLOCK
 from support import random_gaussian_mixture, random_mixture, random_uniform_mixture
@@ -455,7 +456,7 @@ def test_grouping_weights_and_counts():
     grouping = Grouping(mix, [0, 0, 1, 1, 2, 2])
     total = math.fsum(grouping.group_weights.values())
     assert math.isclose(total, 1.0, abs_tol=1e-12)
-    assert grouping.n_groups == 3
+    assert list(grouping.group_weights) == [0, 1, 2]
     # A label is any integer, negative ones included, but never a rounded float,
     # a string or a bool.
     negative = Grouping(mix, np.array([-3, -3, 0, 0, 7, 7], dtype=np.int8))
@@ -478,9 +479,13 @@ def test_grouping_refuses_a_boolean_or_ragged_label(labels):
 
 
 def test_grouping_ignores_zero_weight_groups():
+    # A label whose members all weigh zero keeps its key at weight 0.0, and
+    # the gap bound does not count it as a group.
     mix = MixtureModel([0.5, 0.5, 0.0], [std_normal(shift=float(i)) for i in range(3)])
     grouping = Grouping(mix, [0, 0, 1])
-    assert grouping.n_groups == 1
+    assert grouping.group_weights == {0: 1.0, 1: 0.0}
+    one_group = clustered_gap_bound(mix, Grouping(mix, [0, 0, 0]), 0.5)
+    assert clustered_gap_bound(mix, grouping, 0.5) == one_group
 
 
 def test_grouping_assignment_length_checked():

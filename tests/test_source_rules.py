@@ -173,6 +173,19 @@ def test_component_classes_share_one_pair_contract():
         assert found == contract, family.__name__
 
 
+def test_each_pair_kernel_is_defined_once():
+    # The kernels are the family classmethods pinned above; no module-level
+    # function in a family module states a matrix kernel a second time.
+    package = Path(mixent.__file__).parent
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name in ("gaussian.py", "uniform.py")
+        for node in ast.parse((package / name).read_text(), filename=name).body
+        if isinstance(node, ast.FunctionDef) and node.name.endswith(("_matrix", "_matrices"))
+    ]
+    assert not found, f"module-level matrix kernels: {found}"
+
+
 def test_public_names_are_unique_and_resolve():
     assert len(mixent.__all__) == len(set(mixent.__all__))
     missing = [name for name in mixent.__all__ if not hasattr(mixent, name)]
