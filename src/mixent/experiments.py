@@ -9,7 +9,9 @@ Eight experiment families are provided, four Gaussian and four uniform:
     g4 / u4   dimension sweep at fixed unit spread
 
 Each experiment is one row of the sweep table ``_SWEEPS``: its default grid,
-and the generator that builds its mixture at one grid value.
+and the generator that builds its mixture at one grid value.  A generator's
+sigma is read as every float is: a bool, a string, a NaN or more than one
+number raises a MixtureError.
 
 Every grid point derives its own generator and Monte Carlo seeds by hashing
 (master seed, experiment id, grid index) through numpy's SeedSequence, so
@@ -51,8 +53,17 @@ def _check_sizes(n_components, dim) -> None:
     as_count(dim, 1, "mixture dimension", MixtureError)
 
 
+def _as_sigma(sigma) -> float:
+    # a generator's sigma, read as every float is: True, "1" and NaN are refused
+    value = as_floats(sigma, "sigma")
+    if value.shape != ():
+        raise MixtureError(f"sigma must be one real number, got {sigma!r}")
+    return float(value)
+
+
 def _gen_spread(make, n_components, dim, sigma, seed):
     # shared body of the spread generators; make(mean) builds one component
+    sigma = _as_sigma(sigma)
     rng = np.random.default_rng(seed)
     means = sigma * rng.standard_normal((n_components, dim))
     return MixtureModel(np.ones(n_components), [make(m) for m in means])
@@ -114,6 +125,7 @@ def _gen_clustered(make, n_components, dim, clusters, sigma, seed, balanced):
     # shared body of the clustered generators; make(center) builds one component
     if as_count(clusters, 1, "clusters", MixtureError) > n_components:
         raise MixtureError(f"need 1 <= clusters <= components, got {clusters} of {n_components}")
+    sigma = _as_sigma(sigma)
     rng = np.random.default_rng(seed)
     centers = sigma * rng.standard_normal((clusters, dim))
     if balanced:
@@ -159,6 +171,7 @@ def gen_uniform_gamma(n_components: int, dim: int, sigma: float, seed) -> Mixtur
     sigma must exceed -1, the shape's zero, or MixtureError is raised.
     """
     _check_sizes(n_components, dim)
+    sigma = _as_sigma(sigma)
     if not sigma > -1.0:
         raise MixtureError(f"gamma sweep needs sigma > -1 for a positive shape, got {sigma!r}")
     rng = np.random.default_rng(seed)

@@ -144,9 +144,23 @@ class GaussianComponent:
     def sample(self, rng, size=None):
         """Draw one vector (size=None) or a (size, d) batch using mean + L z."""
         n = 1 if size is None else as_count(size, 0, "the number of samples")
-        z = rng.standard_normal((n, self.dim))
-        draws = self.mean + z @ self.chol.T
+        draws = self._from_variates(self._variates(rng, np.empty((n, self.dim))))
         return draws[0] if size is None else draws
+
+    @staticmethod
+    def _variates(rng, out):
+        """Fill ``out`` (n, d), C-contiguous, with the standard normals z of n
+        draws and return it.  It allocates nothing, calls no BLAS and releases
+        the GIL, so a mixture can run it on a helper thread."""
+        rng.standard_normal(out=out)
+        return out
+
+    def _from_variates(self, z):
+        """The points mean + L z of the standard normals in the rows of z
+        (n, d), as a new array; the sum is formed in the product's memory."""
+        draws = z @ self.chol.T
+        draws += self.mean
+        return draws
 
     def center(self) -> np.ndarray:
         return self.mean

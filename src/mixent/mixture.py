@@ -10,6 +10,9 @@ where joint_entropy_upper = conditional_entropy + weight_entropy.
 
 from __future__ import annotations
 
+import threading
+from contextlib import closing
+
 import numpy as np
 
 from ._numeric import as_count, as_floats, as_labels, as_points, check_pair, fsum, log_sum_exp_axis0
@@ -166,41 +169,127 @@ class MixtureModel:
         """
         n = 1 if size is None else as_count(size, 0, "the number of samples")
         out = np.empty((n, self.dim))
-        for positions, cols in self._grouped_draws(rng, n):
-            out[positions] = cols.T
+        with closing(self._grouped_draws(rng, n)) as draws:
+            for positions, cols in draws:
+                out[positions] = cols.T
         return out[0] if size is None else out
+
+    def _draw_labels(self, rng, n: int):
+        """(labels, counts): the component of each of n draws, as the
+        narrowest unsigned type, and the number of draws of each component.
+
+        The labels are bitwise those of ``rng.choice(K, n, p=weights)``, and
+        the generator is left in the same state: each block of uniforms is
+        placed in the cumulative weights, normalised to end at 1, as
+        ``choice`` places its n uniforms.  Only a block of uniforms and of
+        int64 labels is held at a time, and zero-weight components are never
+        drawn.
+        """
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        labels = np.empty(n, np.min_scalar_type(self.n_components - 1))
+        counts = np.zeros(self.n_components, np.intp)
+        for start, stop in _block_bounds(n):
+            block = cdf.searchsorted(rng.random(stop - start), side="right")
+            labels[start:stop] = block
+            counts += np.bincount(block, minlength=self.n_components)
+        return labels, counts
 
     def _grouped_draws(self, rng, n: int):
         """Draw n checked points; yield (positions, cols) per block of
         :func:`_block_bounds`, with the points grouped by component.
 
-        One ``rng.choice`` labels the draws.  Each component with a positive
-        count then draws its points, in index order, through its own
-        ``sample``, into the next columns of one reused (d, block) buffer.  A
-        component that a block edge splits is drawn in two calls, which read
-        the generator's stream as one call would.  ``cols`` is a (d, b) view
-        of the buffer that the next block overwrites; ``positions`` are the
-        draw indices of its points.
+        The labels of all n draws are drawn first, by :meth:`_draw_labels`.
+        Then each block's variates, the next b x d values of the generator's
+        stream, are drawn by the family's ``_variates`` (through
+        :func:`_variate_blocks`: inline for one block, one block ahead on a
+        helper thread for more) and mapped to points by each component's
+        ``_from_variates``, in index order, into the next columns of one
+        reused (d, block) buffer.  A component with k draws in a block maps
+        k rows, so the stream is read and the points formed as each
+        component's ``sample`` would draw them; one that a block edge splits
+        maps its rows in two products.  ``cols`` is a (d, b) view of the
+        buffer that the next block overwrites; ``positions`` are the draw
+        indices of its points.  Closing this generator early joins the
+        helper thread.
         """
-        labels = rng.choice(self.n_components, size=n, p=self.weights)
-        ends = np.cumsum(np.bincount(labels, minlength=self.n_components)).tolist()
+        labels, counts = self._draw_labels(rng, n)
+        ends = np.cumsum(counts).tolist()
         # A stable sort lists each component's draws in draw order.  NumPy
-        # radix-sorts the narrowest unsigned type, several times faster
-        # than it sorts the int64 labels.
-        order = np.argsort(labels.astype(np.min_scalar_type(self.n_components - 1)), kind="stable")
+        # radix-sorts the narrow unsigned labels, several times faster than
+        # it sorts int64 ones; the order is kept in the narrowest unsigned
+        # type that holds n - 1, half the memory of int64 indices or less.
+        order = np.argsort(labels, kind="stable").astype(np.min_scalar_type(max(n - 1, 0)))
         del labels
         buffer = np.empty((self.dim, min(n, _BLOCK + 1)))
         k = 0
-        for start, stop in _block_bounds(n):
-            cols = buffer[:, : stop - start]
-            at = start
-            while at < stop:
-                while ends[k] <= at:  # components whose draws are all made
-                    k += 1
-                take = min(ends[k], stop) - at
-                cols[:, at - start : at - start + take] = self.components[k].sample(rng, take).T
-                at += take
-            yield order[start:stop], cols
+        blocks = _variate_blocks(type(self.components[0])._variates, rng, n, self.dim)
+        with closing(blocks):
+            for (start, stop), variates in blocks:
+                cols = buffer[:, : stop - start]
+                at = start
+                while at < stop:
+                    while ends[k] <= at:  # components whose draws are all made
+                        k += 1
+                    rows = slice(at - start, min(ends[k], stop) - start)
+                    cols[:, rows] = self.components[k]._from_variates(variates(rows)).T
+                    at = start + rows.stop
+                yield order[start:stop], cols
+
+
+def _variate_blocks(draw, rng, n: int, dim: int):
+    """Yield ((start, stop), variates) for each block of :func:`_block_bounds`:
+    variates(rows) returns the (r, dim) variates of a slice of the block's
+    rows, filled by ``draw(rng, out)``.  The caller asks for consecutive
+    slices that cover the block, in order.
+
+    The generator's stream is read in row order, so the variates are the
+    same however they are drawn.  A single block is drawn inline, a slice
+    at a time as the caller asks for it, so no block-sized array is made.
+    More blocks are drawn by one helper thread into two preallocated slots,
+    one block ahead: while the caller uses block i in one slot, the thread
+    fills the other with block i + 1, and it takes block i's slot for block
+    i + 2 once the caller asks for block i + 1.  Two semaphores hand the
+    slots over.  ``draw`` releases the GIL, allocates nothing and calls no
+    BLAS, so the thread runs beside the caller's mapping and evaluation.
+    The thread is joined before this generator ends, also when it is closed
+    early or the caller raises; an error in the thread is raised here.
+    """
+    bounds = list(_block_bounds(n))
+    if len(bounds) < 2:
+        for bound in bounds:
+            yield bound, lambda rows: draw(rng, np.empty((rows.stop - rows.start, dim)))
+        return
+    slots = np.empty((2, _BLOCK + 1, dim))
+    views = [slots[i % 2, : stop - start] for i, (start, stop) in enumerate(bounds)]
+    free, filled = threading.Semaphore(2), threading.Semaphore(0)
+    stopping, failure = threading.Event(), []
+
+    def fill():
+        try:
+            for z in views:
+                free.acquire()
+                if stopping.is_set():
+                    return
+                draw(rng, z)
+                filled.release()
+        except BaseException as exc:  # handed to the caller's thread
+            failure.append(exc)
+            filled.release()
+
+    worker = threading.Thread(target=fill, name="mixent-variates")
+    worker.start()
+    try:
+        for bound, z in zip(bounds, views):
+            filled.acquire()
+            if failure:
+                raise failure[0]
+            yield bound, z.__getitem__
+            free.release()
+    finally:
+        stopping.set()
+        free.release()
+        worker.join()
 
 
 class Grouping:

@@ -9,6 +9,7 @@ piecewise-smooth integrands are handled at full accuracy.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +57,23 @@ def mc_entropy(mixture: MixtureModel, samples: int, seed: int) -> McResult:
     samples))``, but the (samples, d) array is never built: each block of
     the mixture's grouped draws is evaluated by the block routine of
     ``log_density`` as it is drawn, and the values are put back in draw
-    order before the mean and spread are taken.  Memory is O(block (K + d))
-    plus a few vectors of length samples.
+    order before the mean and spread are taken.  From two blocks on, a
+    helper thread draws the next block's variates while this one is
+    evaluated; one block is drawn inline.  The thread is joined before this
+    function returns or raises.  Memory is O(block (K + d)) plus at most 12
+    bytes per sample while the blocks are evaluated (the values and a narrow
+    draw order), and 9 more while the labels are sorted.
     """
     samples = as_count(samples, 2, "the number of samples")
     seed = as_count(seed, 0, "seed", MixtureError)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     evaluate = mixture._block_log_density(samples)
     values = np.empty(samples)
-    for positions, cols in mixture._grouped_draws(rng, samples):
-        values[positions] = evaluate(cols)
+    with closing(mixture._grouped_draws(rng, samples)) as draws:
+        for positions, cols in draws:
+            values[positions] = evaluate(cols)
+    # The last block's views hold the draw order and the point buffer.
+    del positions, cols, evaluate
     np.negative(values, out=values)
     estimate = float(np.mean(values))
     spread = float(np.std(values, ddof=1))

@@ -20,6 +20,10 @@ __all__ = ["UniformBox", "uniform_kl", "uniform_chernoff", "uniform_bd", "unifor
 class UniformBox:
     """Uniform density on the closed axis-aligned box [lower, upper].
 
+    Every side upper - lower must be positive and finite as a float, or
+    :class:`DegenerateBox` is raised: a side that overflows, as from -1e308
+    to 1e308, has no finite log volume and cannot be sampled.
+
     The family's pairwise matrix kernels, which the estimators call, are the
     ``kl_matrix``, ``chernoff_matrix`` (any order in [0, 1]) and
     ``half_matrices`` classmethods; ``half_matrices`` returns the
@@ -33,9 +37,12 @@ class UniformBox:
         upper = np.atleast_1d(as_floats(upper, "upper bounds"))
         if lower.ndim != 1 or lower.shape != upper.shape or lower.size == 0:
             raise DimensionMismatch("lower and upper must be non-empty vectors of equal length")
-        sides = upper - lower
+        with np.errstate(over="ignore"):
+            sides = upper - lower
         if np.any(sides <= 0):
             raise DegenerateBox("every box side must have strictly positive length")
+        if not np.isfinite(sides).all():
+            raise DegenerateBox("every box side length must be a finite float")
         self.lower = lower
         self.upper = upper
         self.log_volume = fsum(np.log(sides))
@@ -75,9 +82,25 @@ class UniformBox:
         return fill
 
     def sample(self, rng, size=None):
+        """Draw one vector (size=None) or a (size, d) batch using lower + side u."""
         n = 1 if size is None else as_count(size, 0, "the number of samples")
-        draws = rng.uniform(self.lower, self.upper, size=(n, self.dim))
+        draws = self._from_variates(self._variates(rng, np.empty((n, self.dim))))
         return draws[0] if size is None else draws
+
+    @staticmethod
+    def _variates(rng, out):
+        """Fill ``out`` (n, d), C-contiguous, with the uniforms u in [0, 1) of
+        n draws and return it; like the Gaussian's, it allocates nothing."""
+        rng.random(out=out)
+        return out
+
+    def _from_variates(self, u):
+        """The points lower + (upper - lower) u of the uniforms in the rows of
+        u (n, d), mapped in place: bitwise ``rng.uniform(lower, upper)`` on
+        the same stream."""
+        u *= self.upper - self.lower
+        u += self.lower
+        return u
 
     @classmethod
     def kl_matrix(cls, comps) -> np.ndarray:

@@ -99,6 +99,38 @@ def test_generators_refuse_sizes_that_are_not_positive_integers(generate, n, d):
         generate(n, d)
 
 
+_SIGMA_GENERATORS = {
+    "g-spread": lambda sigma: gen_gaussian_spread(3, 2, sigma, 0),
+    "g-clustered": lambda sigma: gen_gaussian_clustered(3, 2, 2, sigma, 0)[0],
+    "u-spread": lambda sigma: gen_uniform_spread(3, 2, sigma, 0),
+    "u-gamma": lambda sigma: gen_uniform_gamma(3, 2, sigma, 0),
+    "u-clustered": lambda sigma: gen_uniform_clustered(3, 2, 2, sigma, 0)[0],
+}
+
+
+@pytest.mark.parametrize("generate", _SIGMA_GENERATORS.values(), ids=_SIGMA_GENERATORS.keys())
+@pytest.mark.parametrize(
+    "sigma", [True, np.True_, "1", None, [1.0, 2.0], [1.0], math.nan, math.inf],
+    ids=["bool", "numpy-bool", "text", "none", "pair", "list", "nan", "inf"],
+)
+def test_generators_refuse_a_sigma_that_is_not_one_real(generate, sigma):
+    # True used to build a mixture at sigma 1 and "1" raised NumPy's bare
+    # UFuncTypeError; a pair scaled each mean coordinate by its own sigma.
+    with pytest.raises(MixtureError):
+        generate(sigma)
+
+
+@pytest.mark.parametrize("generate", _SIGMA_GENERATORS.values(), ids=_SIGMA_GENERATORS.keys())
+def test_generators_take_any_real_sigma_alike(generate):
+    # A Python or NumPy int or float, or a 0-d array, builds the same mixture.
+    reference = generate(2.0)
+    for sigma in (2, np.float32(2.0), np.int64(2), np.array(2.0)):
+        got = generate(sigma)
+        assert np.array_equal(got.weights, reference.weights)
+        for a, b in zip(got.components, reference.components):
+            assert np.array_equal(a.center(), b.center()) and a.entropy() == b.entropy()
+
+
 @pytest.mark.parametrize("dim", [2.5, True, 0])
 def test_wishart_refuses_a_dimension_that_is_not_a_positive_integer(dim):
     with pytest.raises(MixtureError, match="dimension must be"):

@@ -1,6 +1,8 @@
 """Mixture container: validation, weight handling, densities, sampling."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -415,14 +417,116 @@ def test_sampling_matches_the_mask_loop_reference(family, dim, n):
     rng = np.random.default_rng([n, dim, len(family)])
     mix = random_mixture(rng, 6, dim, family)
     mix = MixtureModel(np.insert(mix.weights[1:], 3, 0.0), mix.components)
-    got = mix.sample(np.random.default_rng(n), n)
-    ref, labels = _mask_loop_sample(mix, np.random.default_rng(n), n)
+    got_rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    got = mix.sample(got_rng, n)
+    ref, labels = _mask_loop_sample(mix, ref_rng, n)
+    # Both routes read the same values of the stream, and no more.
+    assert got_rng.random() == ref_rng.random()
     if n <= _BLOCK + 1:
         assert np.array_equal(got, ref)
     else:
         centers = np.array([comp.center() for comp in mix.components])[labels]
         terms = np.abs(centers) + np.abs(ref - centers)
         assert np.all(np.abs(got - ref) <= 4 * np.spacing(terms))
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 2 * _BLOCK + 2]
+)
+def test_block_wise_labels_are_those_of_rng_choice(n):
+    # _draw_labels places one block of uniforms at a time in the cumulative
+    # weights.  Its labels, their counts and the generator's next value must
+    # be those of one rng.choice over all n draws, for K = 1 to 300 (the
+    # label type widens at K = 257) with zero weights first, inside and last.
+    box = UniformBox([0.0], [1.0])
+    weights_rng = np.random.default_rng(n)
+    for k in range(1, 301):
+        weights = weights_rng.random(k)
+        if k >= 4:
+            weights[[0, k // 2, k - 1]] = 0.0
+            weights[weights_rng.random(k) < 0.2] = 0.0
+            weights[1] = 0.5
+        mix = MixtureModel(weights, [box] * k)
+        got_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+        labels, counts = mix._draw_labels(got_rng, n)
+        expected = ref_rng.choice(k, size=n, p=mix.weights)
+        assert labels.dtype == np.min_scalar_type(k - 1)
+        assert np.array_equal(labels, expected), k
+        assert np.array_equal(counts, np.bincount(expected, minlength=k)), k
+        assert got_rng.random() == ref_rng.random(), k
+
+
+def _threads_since(before):
+    return set(threading.enumerate()) - before
+
+
+def test_no_draw_thread_outlives_sample_or_an_early_close():
+    # Two blocks or more are drawn one block ahead by one helper thread;
+    # one block is drawn inline.  The helper is joined when the draws end,
+    # also when the caller closes them after the first block.
+    mix = random_mixture(np.random.default_rng(5), 4, 3, "gaussian")
+    before = set(threading.enumerate())
+    assert mix.sample(np.random.default_rng(0), 3 * _BLOCK).shape == (3 * _BLOCK, 3)
+    assert not _threads_since(before)
+    draws = mix._grouped_draws(np.random.default_rng(0), 5 * _BLOCK)
+    next(draws)
+    assert len(_threads_since(before)) == 1
+    draws.close()
+    assert not _threads_since(before)
+    single = mix._grouped_draws(np.random.default_rng(0), _BLOCK + 1)
+    next(single)
+    assert not _threads_since(before)
+    single.close()
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_an_error_in_the_draw_thread_reaches_the_caller(family, monkeypatch):
+    mix = random_mixture(np.random.default_rng(6), 4, 3, family)
+    cls = type(mix.components[0])
+    draw, calls = cls._variates, []
+
+    def fails_on_the_third_block(rng, out):
+        calls.append(threading.current_thread())
+        if len(calls) == 3:
+            raise RuntimeError("no variates")
+        return draw(rng, out)
+
+    monkeypatch.setattr(cls, "_variates", staticmethod(fails_on_the_third_block))
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="no variates"):
+        mix.sample(np.random.default_rng(0), 4 * _BLOCK)
+    assert not _threads_since(before)
+    assert len(calls) == 3 and threading.main_thread() not in calls
+
+
+@pytest.mark.parametrize("family", [GaussianComponent, UniformBox])
+def test_variate_blocks_hand_over_every_block_intact(family):
+    # Stress the two-slot handover: four callers at once, more threads than
+    # cores, with a one-microsecond switch interval.  Each block must hold
+    # the same rows as one inline draw of all n x d variates while the
+    # helper fills the other slot; a slot handed over too early is
+    # overwritten under the check.
+    n, dim = 9 * _BLOCK + 5, 3
+    results = []
+
+    def check(seed):
+        expected = family._variates(np.random.default_rng(seed), np.empty((n, dim)))
+        blocks = mixent.mixture._variate_blocks(family._variates, np.random.default_rng(seed), n, dim)
+        results.append(all(np.array_equal(variates(slice(0, stop - start)), expected[start:stop])
+                           for (start, stop), variates in blocks))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=check, args=(seed,)) for seed in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [True] * 4
 
 
 def test_uniform_sampling_stays_in_support_and_centers():

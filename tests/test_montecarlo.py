@@ -1,6 +1,7 @@
 """Monte Carlo and quadrature oracles, and their agreement with closed forms."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -150,6 +151,52 @@ def test_mc_memory_stays_within_blocks(family):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * samples * dim
+
+
+def test_mc_memory_per_draw_at_the_benchmark_size():
+    # At S = 200k draws of K = 8 Gaussians in d = 10, the size of the Monte
+    # Carlo benchmark, the check holds the values (8 B per draw), the narrow
+    # labels (1 B) and the draw order (8 B while it is cast, then 4 B), plus
+    # well under 1.2 MB of blocks.  One rng.choice over all draws held 16 B
+    # per draw more, and the last block's views kept the int64 order alive
+    # through the spread's own S-length temporary.
+    samples = 200_000
+    mix = random_mixture(np.random.default_rng(40), 8, 10, "gaussian")
+    tracemalloc.start()
+    try:
+        mc_entropy(mix, samples, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 * samples + 1.2e6, peak
+
+
+def test_no_draw_thread_outlives_mc_entropy(monkeypatch):
+    # The draws of two blocks or more run one block ahead on a helper
+    # thread; it is joined when mc_entropy returns and when evaluate raises.
+    mix = random_mixture(np.random.default_rng(6), 4, 3, "gaussian")
+    before = set(threading.enumerate())
+    mc_entropy(mix, 3 * _BLOCK, seed=0)
+    assert set(threading.enumerate()) == before
+
+    block_log_density, helpers = MixtureModel._block_log_density, []
+
+    def fails_on_the_second_block(self, n):
+        evaluate = block_log_density(self, n)
+
+        def checked(cols):
+            helpers.append(len(set(threading.enumerate()) - before))
+            if len(helpers) == 2:
+                raise RuntimeError("evaluate failed")
+            return evaluate(cols)
+
+        return checked
+
+    monkeypatch.setattr(MixtureModel, "_block_log_density", fails_on_the_second_block)
+    with pytest.raises(RuntimeError, match="evaluate failed"):
+        mc_entropy(mix, 5 * _BLOCK, seed=0)
+    assert helpers == [1, 1]
+    assert set(threading.enumerate()) == before
 
 
 def test_mc_stderr_shrinks_like_the_square_root_of_the_sample_count():

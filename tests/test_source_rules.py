@@ -63,29 +63,72 @@ def test_component_type_checks_stay_in_the_oracle_modules():
 
 
 def test_one_draw_route_in_the_mixture():
-    # The component labels and every component's points are drawn at one
-    # place in mixture.py, so MixtureModel.sample and the Monte Carlo check
+    # A mixture's labels are drawn at one place in mixture.py, and every
+    # point's variates only through its family's _variates, which the
+    # component's own sample calls too; _from_variates maps them to points.
+    # So MixtureModel.sample, the Monte Carlo check and a component's sample
     # cannot come to draw differently.
-    def draws(path):
-        return [
-            (node.func.attr, node.lineno)
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("choice", "sample")
-        ]
+    draws = {"choice", "random", "standard_normal", "uniform", "sample"}
+    steps = {"_variates", "_from_variates"}
+
+    def uses(path):  # (name, innermost enclosing function) of each draw call or step
+        found = Counter()
+
+        def visit(node, scope):
+            if isinstance(node, ast.FunctionDef):
+                scope = node.name
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in draws:
+                found[node.func.attr, scope] += 1
+            if isinstance(node, ast.Attribute) and node.attr in steps:
+                found[node.attr, scope] += 1
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+        return found
 
     package = Path(mixent.__file__).parent
-    sources = sorted(package.glob("*.py"))
+    found = {path.name: uses(path) for path in sorted(package.glob("*.py"))}
+    assert "montecarlo.py" in found
+    assert found.pop("mixture.py") == {
+        ("random", "_draw_labels"): 1,
+        ("_variates", "_grouped_draws"): 1,
+        ("_from_variates", "_grouped_draws"): 1,
+    }
+    for name, variates in (("gaussian.py", "standard_normal"), ("uniform.py", "random")):
+        assert found.pop(name) == {
+            (variates, "_variates"): 1, ("_variates", "sample"): 1, ("_from_variates", "sample"): 1,
+        }, name
+    # The sweep generators draw component means, never mixture points.
+    assert {attr for attr, _ in found.pop("experiments.py")} == {"standard_normal"}
+    stray = {name: sorted(uses) for name, uses in found.items() if uses}
+    assert not stray, f"draws outside the mixture's route: {stray}"
+
+
+def test_no_concurrent_futures_in_the_package():
+    # The Monte Carlo draws run ahead on one plain threading.Thread, which
+    # every CLI process has loaded anyway; concurrent.futures would add its
+    # import time and memory to each of them.
+    sources = sorted(Path(mixent.__file__).parent.glob("*.py"))
     assert any(path.name == "montecarlo.py" for path in sources)
-    found = [
-        f"{path.name}:{line} .{name}("
-        for path in sources
-        if path.name != "mixture.py"
-        for name, line in draws(path)
-    ]
-    assert not found, f"draws outside mixture.py: {found}"
-    assert Counter(name for name, _ in draws(package / "mixture.py")) == {"choice": 1, "sample": 1}
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "concurrent" or m.startswith("concurrent.") for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"concurrent imports in src: {found}"
+    code = ("import sys; from mixent import MixtureModel, UniformBox, mc_entropy; "
+            "mc_entropy(MixtureModel([1.0], [UniformBox([0.0], [1.0])]), 20000, 0); "
+            "print('concurrent.futures' in sys.modules)")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_counts_are_checked_not_truncated():

@@ -52,6 +52,22 @@ def test_degenerate_sides_rejected():
         UniformBox([1.0], [0.0])
 
 
+@pytest.mark.parametrize(
+    "lower, upper", [([-1e308], [1e308]), ([0.0, -1e308], [1.0, 1.7e308]), ([-1.7e308], [1e308])]
+)
+def test_a_side_that_overflows_is_refused(lower, upper):
+    # Each bound is finite, but upper - lower overflows to +inf: the box has
+    # no finite log volume, estimate_all returned nan with warnings and
+    # mc_entropy raised a bare OverflowError.
+    with pytest.raises(DegenerateBox, match="finite"):
+        UniformBox(lower, upper)
+
+
+def test_the_widest_finite_side_is_accepted():
+    box = UniformBox([-8e307], [8e307])
+    assert box.log_volume == math.log(1.6e308)
+
+
 def test_bound_shape_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         UniformBox([0.0, 0.0], [1.0])
