@@ -1,8 +1,9 @@
 """Shared numeric helpers: the one intake rule for each kind of argument
 (counts, float arrays, group labels, Chernoff orders, component pairs),
 order-stable summation, careful log-sum-exp (the row form sums each row
-exactly from integer limbs, bit for bit as math.fsum would) and the
-package's one triangular solve, on stacked vectors.
+exactly from integer limbs, bit for bit as math.fsum would), the
+package's one triangular solve, on stacked vectors, and the one rule that
+splits points into blocks and a block's columns into chunks.
 
 Every constructor and scalar function reads its arguments through these
 rules, so a boolean is refused wherever a number is taken, by the library
@@ -73,7 +74,10 @@ def as_floats(value, what: str) -> np.ndarray:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError, RecursionError) as exc:
         raise MixtureError(f"malformed {what}: {exc}") from None
-    if not np.isfinite(array).all():
+    # A NaN propagates through min and max, so both are finite exactly when
+    # every entry is; unlike isfinite, the two reductions make no temporary
+    # of the array's size.
+    if not (np.isfinite(array.min(initial=0.0)) and np.isfinite(array.max(initial=0.0))):
         raise NonFiniteValue(f"{what} must be finite")
     return array
 
@@ -134,6 +138,58 @@ def forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for k in range(chol.shape[-1]):
         x[..., k] = (rhs[..., k] - np.vecdot(chol[..., k, :k], x[..., :k])) / chol[..., k, k]
     return x
+
+
+# Points per block of MixtureModel.log_density and of the grouped draws: the
+# (d, block) point buffer and the K x block row buffer stay cache-sized
+# however many points are drawn or evaluated.
+BLOCK = 4096
+# Coordinates per column chunk of a family's log-density routine: ten for
+# each point of a block, so a block of at most ten dimensions is one chunk.
+# A chunk is a multiple of 64 columns and never narrower than 64.
+_CHUNK_COORDS = 10 * BLOCK
+_CHUNK_ALIGN = 64
+
+
+def spans(n: int, step: int):
+    """Yield (start, stop) for each run of n items in steps of ``step``, in order.
+
+    A lone last item joins the run before it: a one-point block or a
+    one-column chunk takes other BLAS and summation routes and rounds
+    differently.  So for n >= 2 every run has from two to step + 1 items.
+    """
+    start = 0
+    while start < n:
+        stop = n if n - start <= step + 1 else start + step
+        yield start, stop
+        start = stop
+
+
+def _chunk_step(dim: int) -> int:
+    return max(_CHUNK_ALIGN, _CHUNK_COORDS // dim // _CHUNK_ALIGN * _CHUNK_ALIGN)
+
+
+def chunk_width(dim: int, width: int) -> int:
+    """The most columns that one chunk of :func:`by_chunks` passes on, for
+    batches of at most ``width`` points of dimension ``dim``: a work buffer
+    of dim times this many floats holds any chunk.  That is at most
+    40 960 + dim floats up to dim = 640, and 65 dim above it."""
+    return min(width, _chunk_step(dim) + 1)
+
+
+def by_chunks(fill, dim: int):
+    """fill(cols, rows) run on each column chunk of ``cols`` (dim, b) and
+    ``rows`` (K, b), chunks given by :func:`spans` at the dimension's step;
+    returns ``rows``.  Up to ten dimensions a block of 4097 points or fewer
+    is one chunk."""
+    step = _chunk_step(dim)
+
+    def chunked(cols, rows):
+        for start, stop in spans(cols.shape[1], step):
+            fill(cols[:, start:stop], rows[:, start:stop])
+        return rows
+
+    return chunked
 
 
 # Bits per limb of the exact row sums.  An entry in [0, 1] gives two limbs

@@ -202,8 +202,8 @@ def estimate_all(
     least 2); seed feeds its substream derivation and nothing else, but is
     checked as in :func:`mc_entropy` either way.  The Bhattacharyya and ELK
     matrices come from one order-1/2 pass of the family's ``half_matrices``,
-    and the conditional entropy is computed once for h_cond, h_joint and
-    h_bd.  Each field is bitwise its standalone function's value.
+    and the conditional entropy is computed once for h_cond, h_joint, h_bd
+    and h_kl.  Each field is bitwise its standalone function's value.
     """
     seed = as_count(seed, 0, "seed", MixtureError)
     mc = mc_entropy(mixture, mc_samples, seed) if mc_samples is not None else None
@@ -214,7 +214,7 @@ def estimate_all(
         h_cond=h_cond,
         h_joint=h_cond + mixture.weight_entropy(),
         h_bd=h_cond - _mixing_term(mixture, bd),
-        h_kl=upper_bound_kl(mixture),
+        h_kl=h_cond - _mixing_term(mixture, pairwise_distance_matrix(mixture, KL)),
         h_kde=kde_estimate(mixture),
         h_elk=_elk_from_matrix(mixture, log_cross),
         mc=mc,

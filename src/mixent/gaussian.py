@@ -7,9 +7,9 @@ only through it: in the log-density and in the KL matrix kernel, which
 multiplies a block of columns' L_j^-1 by every mean difference and every
 factor at once.  A batch of points is laid out with the points on the last
 axis, and a mixture makes that transposed copy once for all its components;
-each component then costs one subtraction, one (d, d) by (d, n) matrix
-product and a sum over d rows, in two work buffers shared by all the
-components and written into the caller's row.
+each component then costs one subtraction, one (d, d) by (d, chunk) matrix
+product and a sum over d rows per chunk of columns, in two work buffers
+shared by all the components and written into the caller's row.
 The other pairwise matrix kernels go through one pair-block driver, which
 factors each pair's blended covariance in stacked blocks of pairs and forms
 the Chernoff divergence of the blend's order.  It takes each self term from
@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from ._numeric import as_count, as_floats, as_order, as_points, check_pair, forward_substitute
+from ._numeric import (as_count, as_floats, as_order, as_points, by_chunks, check_pair, chunk_width,
+                       forward_substitute)
 from .errors import DimensionMismatch, NotPositiveDefinite
 
 __all__ = ["GaussianComponent", "gaussian_kl", "gaussian_chernoff", "gaussian_bd",
@@ -117,13 +118,16 @@ class GaussianComponent:
         the last axis so that every elementwise pass runs along b, not d.
         The mean is subtracted before the product: expanding it as
         L^-1 x - L^-1 mean cancels badly for means far from the origin.
-        Two (d, width) work buffers, allocated here once, hold the
-        difference and the product of every component, each as one
-        contiguous (d, b) array; the constants are added to all K rows in
-        one pass after the loop.
+        The columns are taken in the chunks of ``by_chunks``, and two
+        (d, chunk) work buffers, allocated here once, hold the difference
+        and the product of every component, each as one contiguous array;
+        the constants are added to all K rows of a chunk in one pass after
+        the loop.  Each buffer holds at most d (chunk + 1) floats, 40 960 + d
+        up to d = 640, however many points are passed.  Up to d = 10 a block
+        of ``log_density`` is one chunk, so the buffers are (d, block).
         """
         d = comps[0].dim
-        diff_buf, z_buf = np.empty((2, d * width))
+        diff_buf, z_buf = np.empty((2, d * chunk_width(d, width)))
         log_dets = np.array([c.log_det for c in comps])[:, None]
 
         def fill(cols, rows):
@@ -137,9 +141,8 @@ class GaussianComponent:
             rows += log_dets
             rows += d * _LOG_2PI
             rows *= -0.5
-            return rows
 
-        return fill
+        return by_chunks(fill, d)
 
     def sample(self, rng, size=None):
         """Draw one vector (size=None) or a (size, d) batch using mean + L z."""

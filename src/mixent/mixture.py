@@ -15,7 +15,8 @@ from contextlib import closing
 
 import numpy as np
 
-from ._numeric import as_count, as_floats, as_labels, as_points, check_pair, fsum, log_sum_exp_axis0
+from ._numeric import (BLOCK, as_count, as_floats, as_labels, as_points, check_pair, fsum,
+                       log_sum_exp_axis0, spans)
 from .errors import (
     EmptyMixture,
     MixedFamilies,
@@ -28,27 +29,6 @@ from .gaussian import GaussianComponent
 from .uniform import UniformBox
 
 __all__ = ["MixtureModel", "Grouping"]
-
-# Points per block in MixtureModel.log_density and in the grouped draws: the
-# (d, block) point buffer, the K x block row buffer and each component's
-# block temporaries stay cache-sized however many points are drawn or
-# evaluated.
-_BLOCK = 4096
-
-
-def _block_bounds(n: int):
-    """Yield (start, stop) for each block of n points, in order.
-
-    A lone last point joins the block before it: a one-point block takes
-    other BLAS and summation routes and rounds differently.  So for n >= 2
-    every block has from two to _BLOCK + 1 points.
-    """
-    start = 0
-    while start < n:
-        stop = n if n - start <= _BLOCK + 1 else start + _BLOCK
-        yield start, stop
-        start = stop
-
 
 class MixtureModel:
     """Weighted finite mixture of components from one family: all
@@ -107,17 +87,24 @@ class MixtureModel:
         Computed as a max-shifted log-sum-exp over ln c_k + ln p_k(x) with
         zero-weight components left out of the index set; a point outside
         every support maps to -inf.  The points are streamed in fixed
-        blocks, and a point's value does not depend on which batch it came
-        in (batches of two or more points).  Each block is copied once with
-        the points on the last axis and evaluated by the same block routine
-        that the Monte Carlo check runs on its grouped draws.  So memory is
-        O(block (K + d)) for any batch size.
+        blocks.  Each block is copied once with the points on the last axis
+        and evaluated by the same block routine that the Monte Carlo check
+        runs on its grouped draws, which takes the block's columns in chunks
+        of a fixed number of coordinates.  So memory is the (d, block) copy,
+        the K x block row buffer and a Gaussian's two work buffers of at most
+        40 960 + d floats each (up to d = 640), for any batch size.
+
+        In batches of two or more points, a point's value does not depend on
+        which batch it came in: bit for bit up to d = 10 and for boxes.
+        Above that two batches differ by at most 8 eps max(1, |value|), with
+        eps = 2.2e-16, because BLAS may round the tail columns of a block or
+        chunk differently.
         """
         pts, single = as_points(x, self.dim, "mixture")
         n = pts.shape[0]
         evaluate = self._block_log_density(n)
         out = np.empty(n)
-        for start, stop in _block_bounds(n):
+        for start, stop in spans(n, BLOCK):
             out[start:stop] = evaluate(np.ascontiguousarray(pts[start:stop].T))
         return float(out[0]) if single else out
 
@@ -125,14 +112,14 @@ class MixtureModel:
         """The mixture log density of one block of points, as a function.
 
         The function takes the points as the columns of a (d, b) array,
-        b <= min(n, _BLOCK + 1), unchecked and only read, and returns their
+        b <= min(n, BLOCK + 1), unchecked and only read, and returns their
         log densities (b,).  The family's block routine writes every active
         component's row of one K x block buffer, allocated here once; ln c_k
         is added, and the buffer is reduced by a log-sum-exp in place.
         """
         active = self.active_indices()
         log_weights = np.log(self.weights[active])[:, None]
-        rows = np.empty((active.size, min(n, _BLOCK + 1)))
+        rows = np.empty((active.size, min(n, BLOCK + 1)))
         comps = [self.components[k] for k in active]
         fill = type(comps[0])._log_density_rows(comps, rows.shape[1])
 
@@ -189,7 +176,7 @@ class MixtureModel:
         cdf /= cdf[-1]
         labels = np.empty(n, np.min_scalar_type(self.n_components - 1))
         counts = np.zeros(self.n_components, np.intp)
-        for start, stop in _block_bounds(n):
+        for start, stop in spans(n, BLOCK):
             block = cdf.searchsorted(rng.random(stop - start), side="right")
             labels[start:stop] = block
             counts += np.bincount(block, minlength=self.n_components)
@@ -197,7 +184,7 @@ class MixtureModel:
 
     def _grouped_draws(self, rng, n: int):
         """Draw n checked points; yield (positions, cols) per block of
-        :func:`_block_bounds`, with the points grouped by component.
+        ``spans(n, BLOCK)``, with the points grouped by component.
 
         The labels of all n draws are drawn first, by :meth:`_draw_labels`.
         Then each block's variates, the next b x d values of the generator's
@@ -221,7 +208,7 @@ class MixtureModel:
         # type that holds n - 1, half the memory of int64 indices or less.
         order = np.argsort(labels, kind="stable").astype(np.min_scalar_type(max(n - 1, 0)))
         del labels
-        buffer = np.empty((self.dim, min(n, _BLOCK + 1)))
+        buffer = np.empty((self.dim, min(n, BLOCK + 1)))
         k = 0
         blocks = _variate_blocks(type(self.components[0])._variates, rng, n, self.dim)
         with closing(blocks):
@@ -238,7 +225,7 @@ class MixtureModel:
 
 
 def _variate_blocks(draw, rng, n: int, dim: int):
-    """Yield ((start, stop), variates) for each block of :func:`_block_bounds`:
+    """Yield ((start, stop), variates) for each block of ``spans(n, BLOCK)``:
     variates(rows) returns the (r, dim) variates of a slice of the block's
     rows, filled by ``draw(rng, out)``.  The caller asks for consecutive
     slices that cover the block, in order.
@@ -255,12 +242,12 @@ def _variate_blocks(draw, rng, n: int, dim: int):
     The thread is joined before this generator ends, also when it is closed
     early or the caller raises; an error in the thread is raised here.
     """
-    bounds = list(_block_bounds(n))
+    bounds = list(spans(n, BLOCK))
     if len(bounds) < 2:
         for bound in bounds:
             yield bound, lambda rows: draw(rng, np.empty((rows.stop - rows.start, dim)))
         return
-    slots = np.empty((2, _BLOCK + 1, dim))
+    slots = np.empty((2, BLOCK + 1, dim))
     views = [slots[i % 2, : stop - start] for i, (start, stop) in enumerate(bounds)]
     free, filled = threading.Semaphore(2), threading.Semaphore(0)
     stopping, failure = threading.Event(), []

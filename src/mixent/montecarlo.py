@@ -60,9 +60,12 @@ def mc_entropy(mixture: MixtureModel, samples: int, seed: int) -> McResult:
     order before the mean and spread are taken.  From two blocks on, a
     helper thread draws the next block's variates while this one is
     evaluated; one block is drawn inline.  The thread is joined before this
-    function returns or raises.  Memory is O(block (K + d)) plus at most 12
-    bytes per sample while the blocks are evaluated (the values and a narrow
-    draw order), and 9 more while the labels are sorted.
+    function returns or raises.  Memory is O(block (K + d)): the (d, block)
+    point buffer, the two (block, d) variate slots and the K x block row
+    buffer, plus a Gaussian's two work buffers of at most 40 960 + d floats
+    each (up to d = 640).  To that come at most 12 bytes per sample while
+    the blocks are evaluated (the values and a narrow draw order), and 9
+    more while the labels are sorted.
     """
     samples = as_count(samples, 2, "the number of samples")
     seed = as_count(seed, 0, "seed", MixtureError)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ._numeric import NEG_INF, as_count, as_floats, as_order, as_points, check_pair, fsum
+from ._numeric import NEG_INF, as_count, as_floats, as_order, as_points, by_chunks, check_pair, fsum
 from .errors import DegenerateBox, DimensionMismatch
 
 __all__ = ["UniformBox", "uniform_kl", "uniform_chernoff", "uniform_bd", "uniform_elk_log_cross",
@@ -70,16 +70,17 @@ class UniformBox:
         """fill(cols, rows): write into row k of ``rows`` (K, b) the log
         density of comps[k] at the points in the columns of ``cols`` (d, b),
         b <= width, checked by ``as_points``, and return ``rows``; ``cols``
-        is only read."""
+        is only read.  The columns are taken in the chunks of ``by_chunks``,
+        as for Gaussians, so each comparison's boolean temporaries hold one
+        chunk, at most 40 960 + d entries up to d = 640."""
 
         def fill(cols, rows):
             for comp, row in zip(comps, rows):
                 lower, upper = comp.lower[:, None], comp.upper[:, None]
                 inside = np.all((cols >= lower) & (cols <= upper), axis=0)
                 row[...] = np.where(inside, -comp.log_volume, NEG_INF)
-            return rows
 
-        return fill
+        return by_chunks(fill, comps[0].dim)
 
     def sample(self, rng, size=None):
         """Draw one vector (size=None) or a (size, d) batch using lower + side u."""

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,16 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     path = [str(Path(mixent.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def peak_bytes(call) -> int:
+    """The peak of memory traced by ``tracemalloc`` while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def nested(depth: int) -> str:

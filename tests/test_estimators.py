@@ -605,6 +605,21 @@ def test_estimate_all_fields_are_bitwise_the_standalone_functions(family, zero_w
         assert getattr(report, field) == standalone(mix), field
 
 
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_estimate_all_computes_the_conditional_entropy_once(monkeypatch, family):
+    # h_cond, h_joint, h_bd and h_kl all start from one H(X|C).
+    calls = []
+    original = MixtureModel.conditional_entropy
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MixtureModel, "conditional_entropy", counted)
+    estimate_all(random_mixture(np.random.default_rng(38), 5, 2, family), mc_samples=200)
+    assert len(calls) == 1
+
+
 def test_report_repr_is_pinned_and_frozen():
     report = estimate_all(gen_gaussian_wishart(100, 5, 12.0, 3), mc_samples=2000, seed=1)
     assert repr(report) == WISHART_REPORT_REPR

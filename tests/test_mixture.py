@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +29,9 @@ from mixent import (
     ZeroWeightSum,
     clustered_gap_bound,
 )
-from mixent.mixture import _BLOCK
-from support import random_gaussian_mixture, random_mixture, random_uniform_mixture
+from mixent._numeric import BLOCK as _BLOCK
+from mixent._numeric import _chunk_step
+from support import peak_bytes, random_gaussian_mixture, random_mixture, random_uniform_mixture
 
 # Frozen from the 1-D quadrature oracle (tests/test_montecarlo.py checks it).
 STD_NORMAL_ENTROPY = 1.4189385332046727
@@ -166,9 +166,24 @@ def _streamed_mixture(family: str, dim: int):
     return mix, points
 
 
-@pytest.mark.parametrize("dim", [1, 2, 5, 10])
+# Above ten dimensions BLAS may round a Gaussian's product differently in
+# the tail columns of a block or chunk, so a point's value can depend on its
+# batch by this much, relative to max(1, |value|); see MixtureModel.log_density.
+SPLIT_RTOL = 8 * np.finfo(float).eps
+
+
+def _assert_split_agrees(got, ref, exact):
+    if exact:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+        assert np.all(np.abs(got - ref) <= SPLIT_RTOL * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 10, 16, 60])
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
 def test_log_density_does_not_depend_on_the_block_split(family, dim):
+    # Bitwise up to ten dimensions, and for boxes at any dimension.
     mix, points = _streamed_mixture(family, dim)
     full = mix.log_density(points)
     assert full.shape == (len(points),)
@@ -180,8 +195,9 @@ def test_log_density_does_not_depend_on_the_block_split(family, dim):
     ]
     # Slices of block + 1 points end in a block of one point if it is not merged.
     slices += [(z - b - 1, z) for z in range(b + 1, n + 1, 311)]
+    exact = dim <= 10 or family == "uniform"
     for a, z in slices:
-        assert np.array_equal(mix.log_density(points[a:z]), full[a:z]), (a, z)
+        _assert_split_agrees(mix.log_density(points[a:z]), full[a:z], exact)
     # Single points take other BLAS and summation routes: equal to rounding.
     for i in (0, b - 1, b, n - 1):
         assert math.isclose(mix.log_density(points[i]), full[i], rel_tol=1e-14, abs_tol=1e-14)
@@ -226,14 +242,75 @@ def test_block_log_density_allocates_no_block_array_per_component(family):
     mix = random_mixture(rng, k, dim, family)
     cols = np.ascontiguousarray(mix.sample(rng, _BLOCK).T)
     evaluate = mix._block_log_density(_BLOCK)
-    tracemalloc.start()
-    try:
-        values = evaluate(cols)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.isfinite(values).all()
+    values = []
+    peak = peak_bytes(lambda: values.append(evaluate(cols)))
+    assert np.isfinite(values[0]).all()
     assert peak < 8 * dim * _BLOCK, peak
+
+
+# Two work buffers of 40 960 + d floats, the Gaussian routine's bound, and
+# room for NumPy's iteration buffers (8192 elements per operand) and the
+# small arrays of a call.
+_CHUNK_WORK_BYTES = 2 * 8 * (40_960 + 60) + 200_000
+
+
+@pytest.mark.parametrize("n", [50_000, 200_000])
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_component_log_density_memory_does_not_grow_with_the_batch(family, n):
+    # Beyond its n-float output, a component's log_density holds one chunk's
+    # work, whatever n is: no (d, n) difference, product or boolean array.
+    dim = 20
+    rng = np.random.default_rng([n, dim])
+    comp = random_mixture(rng, 1, dim, family).components[0]
+    points = rng.standard_normal((n, dim))
+    peak = peak_bytes(lambda: comp.log_density(points))
+    assert peak < 8 * n + _CHUNK_WORK_BYTES, peak
+
+
+@pytest.mark.parametrize("dim", [60, 200])
+def test_gaussian_block_memory_does_not_grow_with_the_dimension(dim):
+    # One block of a mixture: the routine's buffers span a chunk of columns,
+    # never d x block floats (3.9 MB at d = 60, 13 MB at d = 200).
+    rng = np.random.default_rng(dim)
+    comps = random_gaussian_mixture(rng, 4, dim).components
+    cols = rng.standard_normal((dim, _BLOCK))
+    rows = np.empty((len(comps), _BLOCK))
+    peak = peak_bytes(lambda: GaussianComponent._log_density_rows(comps, _BLOCK)(cols, rows))
+    assert np.isfinite(rows).all()
+    assert peak < _CHUNK_WORK_BYTES, peak
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_chunk_edges_agree_with_the_unchunked_per_component_reference(family):
+    # At d = 60 a chunk is 640 columns.  Widths on each side of one and two
+    # chunk edges, and a whole block with its merged last point, agree with
+    # each component's density formed over all points at once: within the
+    # split bound for Gaussians, bitwise for boxes.
+    dim = 60
+    chunk = _chunk_step(dim)
+    assert chunk == 640
+    rng = np.random.default_rng([dim, len(family)])
+    mix = random_mixture(rng, 3, dim, family)
+    points = mix.sample(rng, _BLOCK + 1)
+    points[::4] += rng.uniform(-3.0, 3.0, (len(points[::4]), dim))
+    rows = []
+    for comp, log_weight in zip(mix.components, np.log(mix.weights)):
+        if family == "gaussian":
+            z = comp.inv_chol @ (points.T - comp.mean[:, None])
+            row = -0.5 * (np.square(z).sum(axis=0) + comp.log_det + dim * math.log(2 * math.pi))
+        else:
+            inside = np.all((points >= comp.lower) & (points <= comp.upper), axis=1)
+            row = np.where(inside, -comp.log_volume, -math.inf)
+        _assert_split_agrees(comp.log_density(points), row, family == "uniform")
+        rows.append(log_weight + row)
+    terms = np.array(rows)
+    top = terms.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        ref = shift + np.log(np.exp(terms - shift).sum(axis=0))
+    for width in (chunk - 1, chunk, chunk + 1, chunk + 2, 2 * chunk + 1, _BLOCK + 1):
+        got = mix.log_density(points[:width])
+        _assert_split_agrees(got, ref[:width], family == "uniform")
 
 
 @pytest.mark.parametrize("dim", [1, 5, 60])

@@ -2,7 +2,6 @@
 
 import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +26,8 @@ from mixent import (
     uniform_elk_cross,
     uniform_kl,
 )
-from mixent.mixture import _BLOCK
-from support import random_gaussian_mixture, random_mixture
+from mixent._numeric import BLOCK as _BLOCK
+from support import peak_bytes, random_gaussian_mixture, random_mixture
 
 STD_NORMAL_ENTROPY = 1.4189385332046727
 
@@ -144,12 +143,7 @@ def test_mc_memory_stays_within_blocks(family):
     # S, never the S x d sample array: its peak stays below half of one.
     samples, dim = 100_000, 40
     mix = random_mixture(np.random.default_rng(40), 8, dim, family)
-    tracemalloc.start()
-    try:
-        mc_entropy(mix, samples, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: mc_entropy(mix, samples, seed=3))
     assert peak < 0.5 * 8 * samples * dim
 
 
@@ -162,12 +156,7 @@ def test_mc_memory_per_draw_at_the_benchmark_size():
     # through the spread's own S-length temporary.
     samples = 200_000
     mix = random_mixture(np.random.default_rng(40), 8, 10, "gaussian")
-    tracemalloc.start()
-    try:
-        mc_entropy(mix, samples, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: mc_entropy(mix, samples, seed=3))
     assert peak < 21 * samples + 1.2e6, peak
 
 

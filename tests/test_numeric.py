@@ -6,7 +6,8 @@ with it, and the pair-block driver and the scalar closed forms solve through
 it.  The KL matrix kernel multiplies by the stored inverse factors instead,
 so its check against the scalar ``gaussian_kl`` compares two routes; this file
 is where the solve itself is arbitrated.  The in-place log-sum-exps of the
-mixture log-density and of the estimators are checked here too.
+mixture log-density and of the estimators are checked here too, and so is
+the one rule that splits points into blocks and columns into chunks.
 """
 
 import math
@@ -17,7 +18,8 @@ import pytest
 from scipy.linalg import solve_triangular
 
 import mixent._numeric
-from mixent._numeric import as_floats, forward_substitute, log_sum_exp_axis0, log_sum_exp_rows
+from mixent._numeric import (BLOCK, _chunk_step, as_floats, forward_substitute, log_sum_exp_axis0,
+                             log_sum_exp_rows, spans)
 from support import cov_with_condition
 
 
@@ -226,3 +228,25 @@ def test_float_intake_takes_every_real_leaf_and_dtype():
     assert as_floats(np.float32(0.5), "x").tolist() == 0.5
     for dtype in (np.int32, np.uint8, np.float16, np.float32, np.longdouble, object):
         assert as_floats(np.arange(3).astype(dtype), "x").tolist() == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("step", [64, 640, BLOCK])
+def test_spans_cover_in_order_and_merge_a_lone_last_item(step):
+    for n in [0, 1, 2, step - 1, step, step + 1, step + 2, 2 * step + 1, 3 * step + 17]:
+        bounds = list(spans(n, step))
+        assert [i for start, stop in bounds for i in range(start, stop)] == list(range(n))
+        sizes = [stop - start for start, stop in bounds]
+        assert all(2 <= size <= step + 1 for size in sizes) or n < 2
+        assert all(size == step for size in sizes[:-1])
+
+
+def test_chunks_are_derived_from_the_dimension_alone():
+    # A chunk is the most multiples of 64 columns whose coordinates fit in
+    # 40 960, and 64 where even those do not fit; up to ten dimensions a
+    # block of BLOCK + 1 points is one chunk.
+    for dim in range(1, 1000):
+        step = _chunk_step(dim)
+        assert step % 64 == 0 and step >= 64
+        assert dim * step <= 40_960 or step == 64
+        assert dim * (step + 64) > 40_960
+        assert (list(spans(BLOCK + 1, step)) == [(0, BLOCK + 1)]) == (dim <= 10)
