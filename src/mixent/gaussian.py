@@ -73,8 +73,10 @@ class GaussianComponent:
             raise DimensionMismatch(
                 f"covariance shape {cov.shape} does not match dimension {mean.size}"
             )
+        # np.allclose's test, without its inf/NaN handling: the entries are finite.
         scale = float(np.abs(cov).max())
-        if not np.allclose(cov, cov.T, rtol=_SYMMETRY_RTOL, atol=_SYMMETRY_RTOL * max(scale, 1.0)):
+        tol = _SYMMETRY_RTOL * max(scale, 1.0) + _SYMMETRY_RTOL * np.abs(cov.T)
+        if not (np.abs(cov - cov.T) <= tol).all():
             raise NotPositiveDefinite("covariance matrix is not symmetric")
         try:
             chol = np.linalg.cholesky(cov)
@@ -285,13 +287,10 @@ def gaussian_bd(a: GaussianComponent, b: GaussianComponent) -> float:
 
 
 def gaussian_elk_log_cross(a: GaussianComponent, b: GaussianComponent) -> float:
-    """ln int a(x) b(x) dx: the log density of N(mean_b, cov_a + cov_b) at mean_a."""
+    """ln int a(x) b(x) dx: the log density of N(mean_b, cov_a + cov_b) at mean_a,
+    read from the ELK matrix of ``half_matrices`` on the pair."""
     check_pair(a, b)
-    total = a.cov + b.cov
-    chol = np.linalg.cholesky(total)
-    quad = float(_mahalanobis_sq(chol, a.mean - b.mean))
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (quad + log_det + a.dim * _LOG_2PI)
+    return float(GaussianComponent.half_matrices((a, b))[1][0, 1])
 
 
 def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
@@ -301,7 +300,8 @@ def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
 
 # Helpers of the matrix kernels, the classmethods of GaussianComponent.  Entry
 # [i, j] of a kernel equals the scalar function above at (comps[i], comps[j])
-# to rounding.  The scalar functions stay the reference.
+# to rounding.  The KL and Chernoff scalar functions stay a float reference;
+# the ELK one is a view of its kernel, whose float reference is in the tests.
 
 # Floats per stacked temporary: a block of _pair_terms holds
 # max(1, _BLOCK_FLOATS // d^2) pairs and a block of kl_matrix

@@ -282,19 +282,12 @@ def _variate_blocks(draw, rng, n: int, dim: int):
 class Grouping:
     """Assignment of mixture components to disjoint groups.
 
-    ``assignment[i]`` is the integer group label of component i, and
-    ``group_weights`` maps each label to the total mixture weight of its
-    members, 0.0 for a label whose members all weigh zero.  Labels are read
-    by :func:`~mixent._numeric.as_labels`: integers, negative ones too, and
-    never a bool.
+    ``assignment[i]`` is the integer group label of component i.  Labels are
+    read by :func:`~mixent._numeric.as_labels`: integers, negative ones too,
+    and never a bool.
     """
 
-    __slots__ = ("assignment", "group_weights")
+    __slots__ = ("assignment",)
 
     def __init__(self, mixture: MixtureModel, assignment):
-        assignment = as_labels(assignment, mixture.n_components)
-        buckets: dict[int, list[float]] = {}
-        for label, w in zip(assignment, mixture.weights):
-            buckets.setdefault(label, []).append(float(w))
-        self.assignment = assignment
-        self.group_weights = {label: fsum(ws) for label, ws in sorted(buckets.items())}
+        self.assignment = as_labels(assignment, mixture.n_components)

@@ -15,6 +15,7 @@ import pytest
 
 import mixent
 from mixent import GaussianComponent, MixtureModel, UniformBox
+from mixent._numeric import forward_substitute
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -65,6 +66,22 @@ def _mp_inputs(mpmath, a: GaussianComponent, b: GaussianComponent):
     """(cov_a, cov_b, mean_a - mean_b) as mpmath matrices, the floats taken as exact."""
     delta = mpmath.matrix(a.mean.tolist()) - mpmath.matrix(b.mean.tolist())
     return mpmath.matrix(a.cov.tolist()), mpmath.matrix(b.cov.tolist()), delta
+
+
+def float_gaussian_elk_log_cross(a: GaussianComponent, b: GaussianComponent) -> float:
+    """ln int a b dx in floats, from one Cholesky factor of cov_a + cov_b.
+
+    The package's ``gaussian_elk_log_cross`` reads this value from its
+    ``half_matrices`` kernel; this scalar closed form is the float reference
+    that the kernel is checked against, bit for bit.  An overflowing squared
+    norm is +inf, so means too far apart give -inf.
+    """
+    chol = np.linalg.cholesky(a.cov + b.cov)
+    z = forward_substitute(chol, a.mean - b.mean)
+    with np.errstate(over="ignore"):
+        quad = float(np.vecdot(z, z))
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return -0.5 * (quad + log_det + a.dim * math.log(2.0 * math.pi))
 
 
 def mp_gaussian_pair(a: GaussianComponent, b: GaussianComponent) -> tuple[float, float, float]:

@@ -219,9 +219,9 @@ def test_criterion_05_clustered_exactness():
     failures = []
     for i in range(10):
         mix, grouping = _clustered_instance(rng)
-        group_entropy = -math.fsum(
-            w * math.log(w) for w in grouping.group_weights.values() if w > 0
-        )
+        labels = np.array(grouping.assignment)
+        group_weights = [math.fsum(mix.weights[labels == g]) for g in np.unique(labels)]
+        group_entropy = -math.fsum(w * math.log(w) for w in group_weights if w > 0)
         target = mix.conditional_entropy() + group_entropy
         h_bd = lower_bound_bd(mix)
         h_kl = upper_bound_kl(mix)

@@ -28,7 +28,7 @@ from mixent import (
     lower_bound_bd,
     upper_bound_kl,
 )
-from support import cov_with_condition, random_spd
+from support import cov_with_condition, float_gaussian_elk_log_cross, random_spd
 
 # Frozen against the 1-D quadrature oracle.
 STD_NORMAL_ENTROPY = 1.4189385332046727
@@ -66,6 +66,36 @@ def test_covariance_shape_must_match_mean():
 def test_asymmetric_covariance_rejected():
     with pytest.raises(NotPositiveDefinite):
         GaussianComponent([0.0, 0.0], [[1.0, 0.5], [0.1, 1.0]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 60])
+def test_symmetry_decision_is_np_allclose(dim):
+    # Construction refuses a covariance as "not symmetric" exactly when
+    # np.allclose(cov, cov.T) with the construction's tolerances is false.
+    # One entry is moved off its mirror to just inside and just outside the
+    # tolerance, at entry scales from 1e-150 to 1e150.
+    rtol = mixent.gaussian._SYMMETRY_RTOL
+    rng = np.random.default_rng(dim)
+    factors = (0.5, 1.0 - 1e-12, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-12, 2.0)
+    decisions = set()
+    for scale in np.logspace(-150.0, 150.0, 13):
+        base = random_spd(rng, dim, scale)
+        i, j = (0, 0) if dim == 1 else tuple(rng.choice(dim, 2, replace=False))
+        for factor in factors:
+            for sign in (1.0, -1.0):
+                cov = base.copy()
+                atol = rtol * max(float(np.abs(cov).max()), 1.0)
+                cov[i, j] = cov[j, i] + sign * factor * (atol + rtol * abs(cov[j, i]))
+                atol = rtol * max(float(np.abs(cov).max()), 1.0)
+                symmetric = np.allclose(cov, cov.T, rtol=rtol, atol=atol)
+                try:
+                    GaussianComponent(np.zeros(dim), cov)
+                    refused = False
+                except NotPositiveDefinite as exc:
+                    refused = "not symmetric" in str(exc)
+                assert refused == (not symmetric), (scale, factor, sign)
+                decisions.add(refused)
+    assert decisions == ({False} if dim == 1 else {False, True})
 
 
 def test_indefinite_covariance_rejected():
@@ -110,7 +140,7 @@ def test_matrix_kernels_are_the_scalar_closed_forms():
     for (i, p), (j, q) in ((0, a), (1, b)), ((1, b), (0, a)):
         assert math.isclose(kl[i, j], gaussian_kl(p, q), rel_tol=1e-12)
         assert math.isclose(chernoff[i, j], gaussian_chernoff(p, q, 0.3), rel_tol=1e-12)
-        assert math.isclose(cross[i, j], gaussian_elk_log_cross(p, q), rel_tol=1e-12)
+        assert math.isclose(cross[i, j], float_gaussian_elk_log_cross(p, q), rel_tol=1e-12)
     assert a.center() is a.mean
 
 

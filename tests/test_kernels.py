@@ -24,6 +24,7 @@ from mixent import (
     elk_estimate,
     estimate_all,
     gaussian_chernoff,
+    gaussian_elk_cross,
     gaussian_elk_log_cross,
     gaussian_kl,
     gen_gaussian_clustered,
@@ -38,6 +39,7 @@ from mixent import (
 )
 from support import (
     cov_with_condition,
+    float_gaussian_elk_log_cross,
     mp_box_pair,
     mp_gaussian_chernoff,
     mp_gaussian_pair,
@@ -49,7 +51,8 @@ from support import (
 ORDERS = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
 RTOL = 1e-12
 SCALAR = {
-    GaussianComponent: (gaussian_kl, gaussian_chernoff, gaussian_elk_log_cross),
+    # The Gaussian ELK scalar is a view of its kernel; its float formula is in support.
+    GaussianComponent: (gaussian_kl, gaussian_chernoff, float_gaussian_elk_log_cross),
     UniformBox: (uniform_kl, uniform_chernoff, uniform_elk_log_cross),
 }
 # Every scalar pair function of both families, including the private helpers.
@@ -130,6 +133,30 @@ def test_gaussian_kernels_match_a_60_digit_reference(seed, dim):
             ref = mp_gaussian_pair(a, b)
             for value, exact in zip((kl[i, j], bd[i, j], log_cross[i, j]), ref):
                 assert abs(value - exact) <= RTOL * max(1.0, abs(exact)), (i, j, value, exact)
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_gaussian_elk_scalar_equals_its_float_formula(seed, dim, mean_exp, cov_exp, far):
+    # The ELK scalar reads the pair's half_matrices entry; it keeps the bits
+    # of the float closed form, including -inf for means too far apart.
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((2, dim)) * 10.0**mean_exp
+    if far:
+        means[:, 0] = 1e200, -1e200
+    a, b = (GaussianComponent(m, random_spd(rng, dim, 10.0**cov_exp)) for m in means)
+    expected = float_gaussian_elk_log_cross(a, b)
+    assert (expected == -math.inf) == far
+    for p, q in ((a, b), (b, a), (a, a)):
+        reference = float_gaussian_elk_log_cross(p, q)
+        assert gaussian_elk_log_cross(p, q) == reference
+        assert gaussian_elk_cross(p, q) == math.exp(reference)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))

@@ -635,14 +635,14 @@ def test_grouping_weights_and_counts():
     rng = np.random.default_rng(29)
     mix = random_gaussian_mixture(rng, 6, 2)
     grouping = Grouping(mix, [0, 0, 1, 1, 2, 2])
-    total = math.fsum(grouping.group_weights.values())
-    assert math.isclose(total, 1.0, abs_tol=1e-12)
-    assert list(grouping.group_weights) == [0, 1, 2]
+    assert grouping.assignment == (0, 0, 1, 1, 2, 2)
+    # A grouping holds its labels and nothing else.
+    assert Grouping.__slots__ == ("assignment",)
     # A label is any integer, negative ones included, but never a rounded float,
     # a string or a bool.
     negative = Grouping(mix, np.array([-3, -3, 0, 0, 7, 7], dtype=np.int8))
     assert negative.assignment == (-3, -3, 0, 0, 7, 7)
-    assert list(negative.group_weights.values()) == list(grouping.group_weights.values())
+    assert clustered_gap_bound(mix, negative, 0.5) == clustered_gap_bound(mix, grouping, 0.5)
     for labels in ([0, 0, 1, 1, 2, 2.5], ["0", "0", "1", "1", "2", "2"], [True, False] * 3):
         with pytest.raises(MixtureError):
             Grouping(mix, labels)
@@ -660,11 +660,10 @@ def test_grouping_refuses_a_boolean_or_ragged_label(labels):
 
 
 def test_grouping_ignores_zero_weight_groups():
-    # A label whose members all weigh zero keeps its key at weight 0.0, and
-    # the gap bound does not count it as a group.
+    # The gap bound does not count a label whose members all weigh zero as a group.
     mix = MixtureModel([0.5, 0.5, 0.0], [std_normal(shift=float(i)) for i in range(3)])
     grouping = Grouping(mix, [0, 0, 1])
-    assert grouping.group_weights == {0: 1.0, 1: 0.0}
+    assert grouping.assignment == (0, 0, 1)
     one_group = clustered_gap_bound(mix, Grouping(mix, [0, 0, 0]), 0.5)
     assert clustered_gap_bound(mix, grouping, 0.5) == one_group
 

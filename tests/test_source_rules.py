@@ -229,6 +229,20 @@ def test_each_pair_kernel_is_defined_once():
     assert not found, f"module-level matrix kernels: {found}"
 
 
+def test_gaussian_elk_scalar_reads_its_kernel():
+    # One formula for the Gaussian ELK term: the scalar takes it from
+    # half_matrices and factors nothing itself.
+    path = Path(mixent.__file__).parent / "gaussian.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "gaussian_elk_log_cross")
+    attrs = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert "half_matrices" in attrs
+    assert "cholesky" not in attrs | names
+    assert not names & {"_mahalanobis_sq", "forward_substitute", "_pair_terms", "_LOG_2PI"}
+
+
 def test_public_names_are_unique_and_resolve():
     assert len(mixent.__all__) == len(set(mixent.__all__))
     missing = [name for name in mixent.__all__ if not hasattr(mixent, name)]
