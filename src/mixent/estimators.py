@@ -23,7 +23,7 @@ from .errors import AlphaOutOfRange, BoundViolated, MixtureError, UnsupportedDis
 # Re-exported, not called here: ``mixent.estimators.gaussian_kl`` was a public
 # name before the component methods, and bench/tests/test_bench.py reads it.
 from .gaussian import gaussian_kl  # noqa: F401
-from .mixture import Grouping, MixtureModel
+from .mixture import MixtureModel
 from .montecarlo import McResult, mc_entropy
 
 __all__ = ["DistanceKind", "KL", "BHATTACHARYYA", "chernoff_distance", "pairwise_distance_matrix",
@@ -95,14 +95,10 @@ def _mixing_term(mixture: MixtureModel, dmat: np.ndarray) -> float:
     return fsum(weights * np.minimum(inner, 0.0))
 
 
-def _estimate_from_matrix(mixture: MixtureModel, dmat: np.ndarray) -> float:
-    """The estimator value for a prebuilt distance matrix."""
-    return mixture.conditional_entropy() - _mixing_term(mixture, dmat)
-
-
 def pairwise_estimate(mixture: MixtureModel, kind: DistanceKind) -> float:
     """Evaluate the pairwise-distance entropy estimator for one distance choice."""
-    return _estimate_from_matrix(mixture, pairwise_distance_matrix(mixture, kind))
+    dmat = pairwise_distance_matrix(mixture, kind)
+    return mixture.conditional_entropy() - _mixing_term(mixture, dmat)
 
 
 def lower_bound_chernoff(mixture: MixtureModel, alpha: float) -> float:
@@ -142,24 +138,26 @@ def elk_estimate(mixture: MixtureModel) -> float:
     return _elk_from_matrix(mixture, type(comps[0]).half_matrices(comps)[1])
 
 
-def clustered_gap_bound(mixture: MixtureModel, grouping: Grouping, alpha: float) -> float:
+def clustered_gap_bound(mixture: MixtureModel, labels, alpha: float) -> float:
     """Bound the KL-vs-Chernoff gap for a mixture with grouped components.
 
-    With kappa the largest within-group KL divergence and beta the smallest
-    between-group Bhattacharyya distance, the gap between the KL upper bound
-    and the order-alpha Chernoff lower bound is at most
+    ``labels[i]`` is the integer group label of component i: any integers,
+    negative ones too, but never a bool, a float or a string.  With kappa the
+    largest within-group KL divergence and beta the smallest between-group
+    Bhattacharyya distance, the gap between the KL upper bound and the
+    order-alpha Chernoff lower bound is at most
 
         kappa + (number of non-empty groups - 1) * exp(-(1 - |1 - 2 alpha|) * beta)
 
     which collapses to kappa as the groups separate.  A measured gap above
-    the returned value raises :class:`BoundViolated`; a grouping with another
-    number of labels than the mixture has components raises :class:`MixtureError`.
+    the returned value raises :class:`BoundViolated`; labels of another kind
+    or count than one per component raise :class:`MixtureError`.
     """
     alpha = as_order(alpha)
     if alpha == 0.0:
         raise AlphaOutOfRange(f"gap bound needs alpha in (0, 1], got {alpha}")
     active = mixture.active_indices()
-    labels = np.asarray(as_labels(grouping.assignment, mixture.n_components))[active]
+    labels = np.asarray(as_labels(labels, mixture.n_components))[active]
     kl = pairwise_distance_matrix(mixture, KL)
     bd = pairwise_distance_matrix(mixture, BHATTACHARYYA)
     same = labels[:, None] == labels[None, :]  # kl's zero diagonal cannot raise kappa
@@ -170,7 +168,8 @@ def clustered_gap_bound(mixture: MixtureModel, grouping: Grouping, alpha: float)
     decay = 1.0 if rate == 0.0 else math.exp(-rate * beta)
     bound = kappa + (len(np.unique(labels)) - 1) * decay  # groups with an active member
     chernoff = bd if alpha == 0.5 else pairwise_distance_matrix(mixture, chernoff_distance(alpha))
-    gap = _estimate_from_matrix(mixture, kl) - _estimate_from_matrix(mixture, chernoff)
+    # The KL estimate minus the Chernoff one; their conditional entropies cancel.
+    gap = _mixing_term(mixture, chernoff) - _mixing_term(mixture, kl)
     if gap > bound + 1e-9:
         raise BoundViolated(f"measured gap {gap} exceeds bound {bound}")
     return bound

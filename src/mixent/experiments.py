@@ -31,7 +31,7 @@ from ._numeric import as_count, as_floats
 from .errors import DegreesOfFreedomTooSmall, MixtureError
 from .estimators import estimate_all
 from .gaussian import GaussianComponent
-from .mixture import Grouping, MixtureModel
+from .mixture import MixtureModel
 from .uniform import UniformBox
 
 __all__ = ["ESTIMATOR_ORDER", "CSV_HEADER", "gen_gaussian_spread", "wishart_bartlett",
@@ -132,8 +132,7 @@ def _gen_clustered(make, n_components, dim, clusters, sigma, seed, balanced):
         labels = rng.permutation(np.resize(np.arange(clusters), n_components))
     else:
         labels = rng.integers(0, clusters, n_components)
-    mixture = MixtureModel(np.ones(n_components), [make(centers[g]) for g in labels])
-    return mixture, Grouping(mixture, labels)
+    return MixtureModel(np.ones(n_components), [make(centers[g]) for g in labels]), labels
 
 
 def gen_gaussian_clustered(
@@ -143,12 +142,13 @@ def gen_gaussian_clustered(
     sigma: float,
     seed,
     balanced: bool = False,
-) -> tuple[MixtureModel, Grouping]:
+) -> tuple[MixtureModel, np.ndarray]:
     """Unit-covariance components sharing one of `clusters` centers exactly.
 
     Centers are scattered at scale sigma; components are assigned to
     clusters uniformly at random, or in equal counts when balanced is set.
-    Returns the mixture together with the cluster grouping.
+    Returns the mixture and the int array of its components' cluster labels,
+    which :func:`~mixent.estimators.clustered_gap_bound` takes as they are.
     """
     _check_sizes(n_components, dim)
     eye = np.eye(dim)
@@ -189,8 +189,9 @@ def gen_uniform_clustered(
     sigma: float,
     seed,
     balanced: bool = False,
-) -> tuple[MixtureModel, Grouping]:
-    """Unit-half-width boxes sharing one of `clusters` centers exactly."""
+) -> tuple[MixtureModel, np.ndarray]:
+    """Unit-half-width boxes sharing one of `clusters` centers exactly; returns
+    the mixture and its cluster labels, as the Gaussian generator does."""
     _check_sizes(n_components, dim)
     return _gen_clustered(lambda center: UniformBox(center - 1.0, center + 1.0),
                           n_components, dim, clusters, sigma, seed, balanced)

@@ -18,7 +18,9 @@ components are exactly zero apart at every order.  The Bhattacharyya
 distance and the ELK log cross-term share one factorization of
 cov_i + cov_j per unordered pair.  A squared norm that
 overflows is left at +inf without a warning: it is the exact distance of
-components whose means are too far apart to represent.
+components whose means are too far apart to represent.  So is one whose
+mean difference overflows, where L^-1's zero upper triangle would turn
+inf * 0 into NaN; every quadratic form maps NaN to +inf with np.fmin.
 """
 
 from __future__ import annotations
@@ -135,11 +137,12 @@ class GaussianComponent:
         def fill(cols, rows):
             b = cols.shape[1]
             diff, z = diff_buf[: d * b].reshape(d, b), z_buf[: d * b].reshape(d, b)
-            with np.errstate(over="ignore"):  # +inf is exact; see _mahalanobis_sq
+            with np.errstate(over="ignore", invalid="ignore"):  # see _mahalanobis_sq
                 for comp, row in zip(comps, rows):
                     np.subtract(cols, comp.mean[:, None], out=diff)
                     np.matmul(comp.inv_chol, diff, out=z)
                     np.square(z, out=z).sum(axis=0, out=row)
+            np.fmin(rows, np.inf, out=rows)
             rows += log_dets
             rows += d * _LOG_2PI
             rows *= -0.5
@@ -187,10 +190,10 @@ class GaussianComponent:
         for start in range(0, n, step):
             js = slice(start, start + step)
             inv = np.array([c.inv_chol for c in comps[js]])
-            z = inv @ (means - means[js, None]).transpose(0, 2, 1)
             a = inv @ factors
-            with np.errstate(over="ignore"):  # +inf is exact here too; see _mahalanobis_sq
-                quad = np.square(z, out=z).sum(axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _mahalanobis_sq
+                z = inv @ (means - means[js, None]).transpose(0, 2, 1)
+                quad = np.fmin(np.square(z, out=z).sum(axis=1), np.inf)
                 trace = np.square(a, out=a).sum(axis=1).reshape(-1, n, d).sum(axis=2)
             out[:, js] = (0.5 * (log_dets[js, None] - log_dets + quad + trace - d)).T
         np.fill_diagonal(out, 0.0)
@@ -231,21 +234,23 @@ class GaussianComponent:
         return np.maximum(divergence.reshape(n, n), 0.0)
 
 
-def _mahalanobis_sq(chol: np.ndarray, delta: np.ndarray):
-    """|chol^-1 delta|^2 over the last axis, for one factor or a stack.
+def _mahalanobis_sq(chol: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """|chol^-1 (a - b)|^2 over the last axis, for one factor or a stack.
 
     An overflow gives +inf, the exact distance of means too far apart to
-    represent, so it raises no warning.
+    represent, so it raises no warning.  That includes a difference a - b
+    that overflows: the solve then meets inf * 0 or inf - inf, and the NaN
+    it leaves maps to +inf, while np.fmin keeps every other value's bits.
     """
-    z = forward_substitute(chol, delta)
-    with np.errstate(over="ignore"):
-        return np.vecdot(z, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = forward_substitute(chol, a - b)
+        return np.fmin(np.vecdot(z, z), np.inf)
 
 
 def gaussian_kl(a: GaussianComponent, b: GaussianComponent) -> float:
     """Kullback-Leibler divergence KL(a || b) in nats; zero iff a equals b."""
     check_pair(a, b)
-    quad = float(_mahalanobis_sq(b.chol, a.mean - b.mean))
+    quad = float(_mahalanobis_sq(b.chol, a.mean, b.mean))
     y = forward_substitute(b.chol, a.chol.T)  # the columns of a.chol, as rows
     trace = float(np.sum(y * y))
     value = 0.5 * (b.log_det - a.log_det + quad + trace - a.dim)
@@ -262,7 +267,7 @@ def _chernoff_exponent(a: GaussianComponent, b: GaussianComponent, alpha: float)
     """
     mixed = (1.0 - alpha) * a.cov + alpha * b.cov
     chol = np.linalg.cholesky(mixed)
-    quad = 0.5 * alpha * (1.0 - alpha) * float(_mahalanobis_sq(chol, a.mean - b.mean))
+    quad = 0.5 * alpha * (1.0 - alpha) * float(_mahalanobis_sq(chol, a.mean, b.mean))
     log_det_mixed = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return quad + 0.5 * (log_det_mixed - (1.0 - alpha) * a.log_det - alpha * b.log_det)
 
@@ -337,7 +342,7 @@ def _pair_terms(comps, rows, cols, w_row: float, w_col: float):
         block = slice(start, start + step)
         i, j = rows[block], cols[block]
         chol = np.linalg.cholesky(w_row * covs[i] + w_col * covs[j])
-        quad[block] = _mahalanobis_sq(chol, means[i] - means[j])
+        quad[block] = _mahalanobis_sq(chol, means[i], means[j])
         log_det[block] = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     self_log_det = log_det[rows == cols]
     total = w_row + w_col

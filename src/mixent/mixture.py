@@ -15,8 +15,8 @@ from contextlib import closing
 
 import numpy as np
 
-from ._numeric import (BLOCK, as_count, as_floats, as_labels, as_points, check_pair, fsum,
-                       log_sum_exp_axis0, spans)
+from ._numeric import (BLOCK, as_count, as_floats, as_points, check_pair, fsum, log_sum_exp_axis0,
+                       spans)
 from .errors import (
     EmptyMixture,
     MixedFamilies,
@@ -28,7 +28,7 @@ from .errors import (
 from .gaussian import GaussianComponent
 from .uniform import UniformBox
 
-__all__ = ["MixtureModel", "Grouping"]
+__all__ = ["MixtureModel"]
 
 class MixtureModel:
     """Weighted finite mixture of components from one family: all
@@ -277,17 +277,3 @@ def _variate_blocks(draw, rng, n: int, dim: int):
         stopping.set()
         free.release()
         worker.join()
-
-
-class Grouping:
-    """Assignment of mixture components to disjoint groups.
-
-    ``assignment[i]`` is the integer group label of component i.  Labels are
-    read by :func:`~mixent._numeric.as_labels`: integers, negative ones too,
-    and never a bool.
-    """
-
-    __slots__ = ("assignment",)
-
-    def __init__(self, mixture: MixtureModel, assignment):
-        self.assignment = as_labels(assignment, mixture.n_components)

@@ -56,7 +56,8 @@ class UniformBox:
         return self.log_volume
 
     def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
+        # Halved first, so a box near the largest float has a finite center.
+        return 0.5 * self.lower + 0.5 * self.upper
 
     def log_density(self, x):
         """-log_volume inside the closed box, -inf outside; accepts (d,) or (n, d)."""
@@ -133,9 +134,11 @@ class UniformBox:
 
 def _log_overlap(a: UniformBox, b: UniformBox) -> float:
     """Log volume of the intersection box, whose sides are min(upper) - max(lower);
-    -inf when a side is not positive (zero measure, as for boxes that touch)."""
+    -inf when a side is not positive (zero measure, as for boxes that touch).
+    A side of boxes far apart can overflow, only to -inf: exactly disjoint."""
     check_pair(a, b)
-    sides = np.minimum(a.upper, b.upper) - np.maximum(a.lower, b.lower)
+    with np.errstate(over="ignore"):
+        sides = np.minimum(a.upper, b.upper) - np.maximum(a.lower, b.lower)
     if np.any(sides <= 0):
         return NEG_INF
     return fsum(np.log(sides))
@@ -204,7 +207,8 @@ def _log_overlaps(comps):
     lowers, uppers, log_volumes = _bounds(comps)
     out = np.empty((len(comps), len(comps)))
     for i, a in enumerate(comps):
-        sides = np.minimum(a.upper, uppers) - np.maximum(a.lower, lowers)
+        with np.errstate(over="ignore"):  # to -inf only, as in _log_overlap
+            sides = np.minimum(a.upper, uppers) - np.maximum(a.lower, lowers)
         positive = sides > 0
         log_sides = np.log(np.where(positive, sides, 1.0)).sum(axis=1)
         row = np.where(positive.all(axis=1), log_sides, NEG_INF)

@@ -18,7 +18,6 @@ from mixent import (
     AlphaOutOfRange,
     AwgnChannel,
     GaussianComponent,
-    Grouping,
     MixtureModel,
     SweepConfig,
     UniformBox,
@@ -211,15 +210,14 @@ def _clustered_instance(rng):
     eye = np.eye(dim)
     comps = [GaussianComponent(centers[g], eye) for g in labels]
     mix = MixtureModel(rng.uniform(0.2, 1.0, n), comps)
-    return mix, Grouping(mix, labels)
+    return mix, labels
 
 
 def test_criterion_05_clustered_exactness():
     rng = np.random.default_rng(55)
     failures = []
     for i in range(10):
-        mix, grouping = _clustered_instance(rng)
-        labels = np.array(grouping.assignment)
+        mix, labels = _clustered_instance(rng)
         group_weights = [math.fsum(mix.weights[labels == g]) for g in np.unique(labels)]
         group_entropy = -math.fsum(w * math.log(w) for w in group_weights if w > 0)
         target = mix.conditional_entropy() + group_entropy
@@ -229,7 +227,7 @@ def test_criterion_05_clustered_exactness():
             failures.append(f"instance {i}: lower bound {h_bd} vs target {target}")
         if abs(h_kl - target) > 1e-6:
             failures.append(f"instance {i}: upper bound {h_kl} vs target {target}")
-        bound = clustered_gap_bound(mix, grouping, 0.5)
+        bound = clustered_gap_bound(mix, labels, 0.5)
         if h_kl - h_bd > bound + 1e-9:
             failures.append(f"instance {i}: gap {h_kl - h_bd} exceeds bound {bound}")
         if elk_estimate(mix) > h_bd + 1e-12:

@@ -104,6 +104,21 @@ def test_estimate_with_monte_carlo_row(tmp_path, capsys):
     assert values["H_cond"] <= values["H_BD"] <= values["H_KL"] <= values["H_joint"]
 
 
+def test_estimate_takes_boxes_near_the_largest_float(tmp_path, capsys):
+    # The box centers used to overflow, and the KDE refused them as points.
+    doc = {
+        "family": "uniform",
+        "weights": [0.5, 0.5],
+        "components": [{"lower": [1e308], "upper": [1.5e308]},
+                       {"lower": [1.2e308], "upper": [1.7e308]}],
+    }
+    spec = write_json(tmp_path, "edge.json", doc)
+    assert main(["estimate", "--spec", spec, "--mc", "1000"]) == 0
+    values = parse_report(capsys.readouterr().out)
+    assert values["H_cond"] <= values["H_BD"] <= values["H_KL"] <= values["H_joint"]
+    assert all(math.isfinite(v) for v in values.values())
+
+
 def test_estimate_is_deterministic(tmp_path, capsys):
     spec = write_json(tmp_path, "boxes.json", TWO_BOXES)
     assert main(["estimate", "--spec", spec, "--mc", "500", "--seed", "9"]) == 0

@@ -18,7 +18,6 @@ from mixent import (
     BoundViolated,
     DistanceKind,
     GaussianComponent,
-    Grouping,
     InsufficientSamples,
     MixtureError,
     MixtureModel,
@@ -294,6 +293,30 @@ def test_far_separated_monte_carlo_agrees_with_the_collapsed_bracket():
     assert abs(mc.estimate - TWO_FAR_APART_UPPER) <= 3.0 * mc.stderr
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_means_whose_difference_overflows_give_a_finite_ordered_bracket(axis):
+    # mean_i - mean_j and x - mean overflow to +-inf here, and the zero upper
+    # triangle of L^-1 made inf * 0 = NaN: h_kl, h_kde and the Monte Carlo
+    # estimate were NaN, and along axis 0 h_bd and h_elk too, with warnings.
+    # The components are disjoint to every float digit: each distance is +inf.
+    mean = np.zeros(2)
+    mean[axis] = 1.7e308
+    a, b = GaussianComponent(mean, np.eye(2)), GaussianComponent(-mean, np.eye(2))
+    mix = MixtureModel([0.5, 0.5], [a, b])
+    report = estimate_all(mix, mc_samples=1000)
+    assert report.h_cond <= report.h_bd <= report.h_kl <= report.h_joint
+    assert report.h_bd == report.h_kl == report.h_joint
+    # The Monte Carlo value is finite but reads low: mean + L z rounds to the mean.
+    for value in (report.h_kde, report.h_elk, report.mc.estimate, report.mc.stderr):
+        assert math.isfinite(value)
+    assert np.isposinf(pairwise_distance_matrix(mix, KL)[[0, 1], [1, 0]]).all()
+    assert np.isposinf(pairwise_distance_matrix(mix, chernoff_distance(0.3))[[0, 1], [1, 0]]).all()
+    assert mixent.gaussian.gaussian_kl(a, b) == math.inf
+    assert gaussian_chernoff(a, b, 0.3) == math.inf
+    assert mixent.gaussian.gaussian_elk_log_cross(a, b) == -math.inf
+    assert a.log_density(b.mean) == -math.inf
+
+
 def test_bhattacharyya_order_is_optimal_for_shared_covariance():
     rng = np.random.default_rng(8)
     cov = random_spd(rng, 3)
@@ -378,26 +401,23 @@ def test_estimates_stay_within_the_bias_bound_of_monte_carlo(family):
 def test_gap_bound_for_far_singleton_groups():
     comps = [GaussianComponent([0.0], [[1.0]]), GaussianComponent([40.0], [[1.0]])]
     mix = MixtureModel([0.5, 0.5], comps)
-    grouping = Grouping(mix, [0, 1])
-    bound = clustered_gap_bound(mix, grouping, 0.5)
+    bound = clustered_gap_bound(mix, [0, 1], 0.5)
     assert math.isclose(bound, FAR_SINGLETON_GAP_BOUND, rel_tol=1e-12)
 
 
 def test_gap_bound_single_group_reduces_to_worst_internal_kl():
     rng = np.random.default_rng(14)
     mix = random_gaussian_mixture(rng, 4, 2)
-    grouping = Grouping(mix, [0, 0, 0, 0])
     kl = pairwise_distance_matrix(mix, KL)
     np.fill_diagonal(kl, -np.inf)
-    assert math.isclose(clustered_gap_bound(mix, grouping, 0.5), kl.max(), rel_tol=1e-12)
+    assert math.isclose(clustered_gap_bound(mix, [0, 0, 0, 0], 0.5), kl.max(), rel_tol=1e-12)
 
 
 def test_gap_bound_alpha_one_keeps_one_unit_per_extra_group():
     comps = [GaussianComponent([0.0], [[1.0]]), GaussianComponent([40.0], [[1.0]])]
     mix = MixtureModel([0.5, 0.5], comps)
-    grouping = Grouping(mix, [0, 1])
     # Order one has zero decay rate, so each extra group costs a full unit.
-    assert math.isclose(clustered_gap_bound(mix, grouping, 1.0), 1.0, rel_tol=1e-12)
+    assert math.isclose(clustered_gap_bound(mix, [0, 1], 1.0), 1.0, rel_tol=1e-12)
 
 
 def test_gap_bound_disjoint_uniform_groups_drop_the_cross_term():
@@ -409,17 +429,15 @@ def test_gap_bound_disjoint_uniform_groups_drop_the_cross_term():
         UniformBox([10.0], [11.0]),
     ]
     mix = MixtureModel([0.25, 0.25, 0.5], boxes)
-    grouping = Grouping(mix, [0, 0, 1])
-    assert clustered_gap_bound(mix, grouping, 0.5) == 0.0
+    assert clustered_gap_bound(mix, [0, 0, 1], 0.5) == 0.0
 
 
 def test_gap_bound_alpha_range():
     rng = np.random.default_rng(15)
     mix = random_gaussian_mixture(rng, 3, 2)
-    grouping = Grouping(mix, [0, 1, 2])
     for alpha in (0.0, -0.5, 1.0001, True, "0.3"):
         with pytest.raises(AlphaOutOfRange):
-            clustered_gap_bound(mix, grouping, alpha)
+            clustered_gap_bound(mix, [0, 1, 2], alpha)
 
 
 @pytest.fixture
@@ -440,45 +458,45 @@ def matrix_builds(monkeypatch):
 def test_gap_bound_builds_each_distance_matrix_once(matrix_builds, alpha, builds):
     rng = np.random.default_rng(19)
     mix = random_gaussian_mixture(rng, 5, 2)
-    clustered_gap_bound(mix, Grouping(mix, [0, 0, 1, 1, 2]), alpha)
+    clustered_gap_bound(mix, [0, 0, 1, 1, 2], alpha)
     assert len(matrix_builds) == builds
 
 
 def test_gap_above_the_bound_raises(monkeypatch):
     rng = np.random.default_rng(21)
     mix = random_gaussian_mixture(rng, 3, 2)
-    # A KL estimate far above the Chernoff one stands in for a broken closed form.
-    estimates = iter([1e9, 0.0])
-    monkeypatch.setattr(mixent.estimators, "_estimate_from_matrix", lambda m, d: next(estimates))
-    with pytest.raises(BoundViolated):
-        clustered_gap_bound(mix, Grouping(mix, [0, 1, 2]), 0.5)
+    # A KL estimate far above the Chernoff one stands in for a broken closed
+    # form: the KL matrix's mixing term is taken 1e9 below its value.
+    kl = pairwise_distance_matrix(mix, KL)
+    mixing_term = mixent.estimators._mixing_term
+    monkeypatch.setattr(mixent.estimators, "_mixing_term",
+                        lambda m, d: mixing_term(m, d) - (1e9 if np.array_equal(d, kl) else 0.0))
+    with pytest.raises(BoundViolated, match="measured gap 1000000000.* exceeds"):
+        clustered_gap_bound(mix, [0, 1, 2], 0.5)
 
 
 @pytest.mark.parametrize("size", [2, 6])
 def test_gap_bound_refuses_a_grouping_of_another_size(size):
     rng = np.random.default_rng(22)
     mix = random_gaussian_mixture(rng, 4, 2)
-    other = random_gaussian_mixture(rng, size, 2)
     with pytest.raises(MixtureError, match=r"label per component \(4\)"):
-        clustered_gap_bound(mix, Grouping(other, list(range(size))), 0.5)
+        clustered_gap_bound(mix, list(range(size)), 0.5)
 
 
 def test_gap_bound_counts_the_groups_of_its_own_active_components():
-    # The grouping's own mixture weighs all four labels; this one only two.
+    # Four labels, of which only two have a member of positive weight.
     rng = np.random.default_rng(23)
     full = random_gaussian_mixture(rng, 4, 2)
     mix = MixtureModel([0.5, 0.5, 0.0, 0.0], full.components)
-    labels = [0, 1, 2, 3]
-    own = clustered_gap_bound(mix, Grouping(mix, labels), 0.5)
-    assert clustered_gap_bound(mix, Grouping(full, labels), 0.5) == own
+    two_groups = clustered_gap_bound(mix, [0, 1, 1, 1], 0.5)
+    assert clustered_gap_bound(mix, [0, 1, 2, 3], 0.5) == two_groups
 
 
 def test_gap_bound_holds_on_random_grouped_mixtures():
     rng = np.random.default_rng(16)
     for _ in range(10):
         mix = random_gaussian_mixture(rng, 6, 2)
-        grouping = Grouping(mix, rng.integers(0, 3, 6))
-        bound = clustered_gap_bound(mix, grouping, 0.5)  # asserts gap internally
+        bound = clustered_gap_bound(mix, rng.integers(0, 3, 6), 0.5)  # asserts gap internally
         assert bound >= 0.0
 
 

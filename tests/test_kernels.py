@@ -16,7 +16,6 @@ from mixent import (
     KL,
     AwgnChannel,
     GaussianComponent,
-    Grouping,
     MixtureModel,
     UniformBox,
     chernoff_distance,
@@ -273,7 +272,8 @@ def test_kernels_equal_the_scalar_reference(seed, n, dim, family):
     log_w = np.log(mix.weights[active])
     kl, chernoff, elk = SCALAR[type(comps[0])]
     for kind, pair in ((KL, kl), (chernoff_distance(0.25), lambda p, q: chernoff(p, q, 0.25))):
-        expected = mixent.estimators._estimate_from_matrix(mix, scalar_matrix(pair, comps))
+        mixing = mixent.estimators._mixing_term(mix, scalar_matrix(pair, comps))
+        expected = mix.conditional_entropy() - mixing
         assert math.isclose(pairwise_estimate(mix, kind), expected, rel_tol=RTOL)
     # The ELK expectation reduces each row of the scalar matrix on its own.
     inner = []
@@ -436,7 +436,7 @@ def test_estimators_never_call_a_scalar_pair_function(no_pair_functions, family)
     mix = build(rng, 6, 2, spread=1.0)
     estimate_all(mix)
     lower_bound_chernoff(mix, 0.3)
-    clustered_gap_bound(mix, Grouping(mix, [0, 0, 1, 1, 2, 2]), 0.5)
+    clustered_gap_bound(mix, [0, 0, 1, 1, 2, 2], 0.5)
     if family == "gaussian":
         mi_bounds(mix, AwgnChannel(0.5 * np.eye(2)))
     with pytest.raises(AssertionError, match="scalar pair function"):

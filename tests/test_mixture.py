@@ -17,7 +17,6 @@ from mixent import (
     DimensionMismatch,
     EmptyMixture,
     GaussianComponent,
-    Grouping,
     InsufficientSamples,
     MixedFamilies,
     MixtureError,
@@ -632,20 +631,18 @@ def test_zero_weight_components_never_sampled():
 
 
 def test_grouping_weights_and_counts():
+    # A grouping is one integer label per component, read by clustered_gap_bound
+    # alone.  A label is any integer, negative ones included, of any integer
+    # dtype, but never a rounded float, a string or a bool.
     rng = np.random.default_rng(29)
     mix = random_gaussian_mixture(rng, 6, 2)
-    grouping = Grouping(mix, [0, 0, 1, 1, 2, 2])
-    assert grouping.assignment == (0, 0, 1, 1, 2, 2)
-    # A grouping holds its labels and nothing else.
-    assert Grouping.__slots__ == ("assignment",)
-    # A label is any integer, negative ones included, but never a rounded float,
-    # a string or a bool.
-    negative = Grouping(mix, np.array([-3, -3, 0, 0, 7, 7], dtype=np.int8))
-    assert negative.assignment == (-3, -3, 0, 0, 7, 7)
-    assert clustered_gap_bound(mix, negative, 0.5) == clustered_gap_bound(mix, grouping, 0.5)
+    bound = clustered_gap_bound(mix, [0, 0, 1, 1, 2, 2], 0.5)
+    negative = np.array([-3, -3, 0, 0, 7, 7], dtype=np.int8)
+    assert clustered_gap_bound(mix, negative, 0.5) == bound
+    assert clustered_gap_bound(mix, (0, 0, 1, 1, 2, 2), 0.5) == bound
     for labels in ([0, 0, 1, 1, 2, 2.5], ["0", "0", "1", "1", "2", "2"], [True, False] * 3):
-        with pytest.raises(MixtureError):
-            Grouping(mix, labels)
+        with pytest.raises(MixtureError, match=r"integer group label per component \(6\)"):
+            clustered_gap_bound(mix, labels, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -656,19 +653,17 @@ def test_grouping_refuses_a_boolean_or_ragged_label(labels):
     # [0, True] used to be read as the labels 0 and 1.
     mix = MixtureModel([0.5, 0.5], [std_normal(), std_normal(shift=1.0)])
     with pytest.raises(MixtureError, match="integer group label"):
-        Grouping(mix, labels)
+        clustered_gap_bound(mix, labels, 0.5)
 
 
 def test_grouping_ignores_zero_weight_groups():
     # The gap bound does not count a label whose members all weigh zero as a group.
     mix = MixtureModel([0.5, 0.5, 0.0], [std_normal(shift=float(i)) for i in range(3)])
-    grouping = Grouping(mix, [0, 0, 1])
-    assert grouping.assignment == (0, 0, 1)
-    one_group = clustered_gap_bound(mix, Grouping(mix, [0, 0, 0]), 0.5)
-    assert clustered_gap_bound(mix, grouping, 0.5) == one_group
+    one_group = clustered_gap_bound(mix, [0, 0, 0], 0.5)
+    assert clustered_gap_bound(mix, [0, 0, 1], 0.5) == one_group
 
 
 def test_grouping_assignment_length_checked():
     mix = MixtureModel([0.5, 0.5], [std_normal(), std_normal(shift=1.0)])
-    with pytest.raises(MixtureError):
-        Grouping(mix, [0])
+    with pytest.raises(MixtureError, match=r"label per component \(2\)"):
+        clustered_gap_bound(mix, [0], 0.5)

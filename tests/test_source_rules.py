@@ -194,6 +194,29 @@ def test_booleans_are_refused_in_one_module():
     assert not found, f"bool checks outside _numeric.py: {found}"
 
 
+def test_group_labels_are_read_at_one_place():
+    # A grouping is plain labels; clustered_gap_bound, their one reader, checks
+    # them with _numeric.as_labels, and nothing wraps or checks them again.
+    def scopes(path):  # innermost enclosing function of each as_labels call
+        found = []
+
+        def visit(node, scope):
+            if isinstance(node, ast.FunctionDef):
+                scope = node.name
+            if isinstance(node, ast.Call) and "as_labels" in _names(node.func):
+                found.append(f"{path.name}:{scope}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(), filename=str(path)), None)
+        return found
+
+    sources = sorted(Path(mixent.__file__).parent.glob("*.py"))
+    assert any(path.name == "estimators.py" for path in sources)
+    found = [scope for path in sources for scope in scopes(path)]
+    assert found == ["estimators.py:clustered_gap_bound"], found
+
+
 def test_cli_options_state_no_defaults():
     # An option left out stays out of the library call, so SweepConfig,
     # estimate_all and mi_bounds state every default once.

@@ -11,8 +11,11 @@ from mixent import (
     DegenerateBox,
     DimensionMismatch,
     MixtureError,
+    MixtureModel,
     NonFiniteValue,
     UniformBox,
+    estimate_all,
+    kde_estimate,
     uniform_bd,
     uniform_chernoff,
     uniform_elk_cross,
@@ -66,6 +69,37 @@ def test_a_side_that_overflows_is_refused(lower, upper):
 def test_the_widest_finite_side_is_accepted():
     box = UniformBox([-8e307], [8e307])
     assert box.log_volume == math.log(1.6e308)
+
+
+def test_boxes_near_the_largest_float_have_finite_centers():
+    # 0.5 * (lower + upper) overflowed, so estimate_all and kde_estimate refused
+    # this accepted mixture: "point coordinates must be finite".
+    boxes = [UniformBox([1e308], [1.5e308]), UniformBox([1.2e308], [1.7e308])]
+    assert boxes[1].center().tolist() == [1.45e308]
+    mix = MixtureModel([0.5, 0.5], boxes)
+    report = estimate_all(mix, mc_samples=1000)
+    assert report.h_cond <= report.h_bd < report.h_kl <= report.h_joint
+    assert report.h_kde == kde_estimate(mix)
+    for value in (report.h_kde, report.h_elk, report.mc.estimate):
+        assert math.isfinite(value)
+    # Away from the float edge the halves add to the halved sum bit for bit.
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        lower = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), 4)
+        box = UniformBox(lower, lower + rng.uniform(1e-3, 1e3, 4))
+        assert box.center().tolist() == (0.5 * (box.lower + box.upper)).tolist()
+
+
+def test_boxes_at_both_ends_of_the_float_range_are_disjoint_without_warnings():
+    # A side of their overlap, min(upper) - max(lower), overflows to -inf:
+    # exactly disjoint, and no longer an overflow warning.
+    low, high = UniformBox([-1.7e308], [-1e308]), UniformBox([1e308], [1.7e308])
+    assert _log_overlap(low, high) == -math.inf
+    assert uniform_bd(low, high) == math.inf
+    assert uniform_elk_log_cross(low, high) == -math.inf
+    report = estimate_all(MixtureModel([0.5, 0.5], [low, high]), mc_samples=1000)
+    assert report.h_cond < report.h_bd == report.h_kl == report.h_joint
+    assert math.isfinite(report.h_kde) and math.isfinite(report.mc.estimate)
 
 
 def test_bound_shape_mismatch_rejected():
