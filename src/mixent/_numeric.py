@@ -1,5 +1,6 @@
 """Shared numeric helpers: the one intake rule for each kind of argument
 (counts, float arrays, group labels, Chernoff orders, component pairs),
+the one stacking of component attributes for the pair kernels,
 order-stable summation, careful log-sum-exp (the row form sums each row
 exactly from integer limbs, bit for bit as math.fsum would), the
 package's one triangular solve, on stacked vectors, and the one rule that
@@ -33,27 +34,20 @@ def as_count(value, least: int, what: str, error=InsufficientSamples) -> int:
     return int(value)
 
 
-# Leaf types of a float entry (a bool is an int, but is refused), and those
-# that a list walk passes without a call.
-_REALS = (float, int, np.floating, np.integer)
-_PLAIN = frozenset((float, int, np.float64, np.int64))
-
-
 def _fault(value) -> str | None:
     """Why value is not a real or an array of reals, or None if it is.
 
     An ndarray of integer or float dtype is a real array; any other ndarray
     and every list or tuple is walked, and each leaf must be a Python or
     NumPy int or float, never a bool."""
-    if isinstance(value, _REALS) and type(value) is not bool:
+    if isinstance(value, (float, int, np.floating, np.integer)) and type(value) is not bool:
         return None
     if isinstance(value, np.ndarray):
         if value.dtype.kind in "iuf":
             return None
         value = value.tolist()
     if isinstance(value, (list, tuple)):
-        faults = (_fault(entry) for entry in value if type(entry) not in _PLAIN)
-        return next(filter(None, faults), None)
+        return next(filter(None, map(_fault, value)), None)
     boolean = isinstance(value, (bool, np.bool_))
     return "booleans are not numbers" if boolean else f"{value!r} is not a real number"
 
@@ -82,17 +76,18 @@ def as_floats(value, what: str) -> np.ndarray:
     return array
 
 
-def as_labels(value, count: int) -> tuple[int, ...]:
-    """value as ``count`` integer labels, negative ones too.  A bool anywhere
-    in it, a label of another dtype, a ragged value or another count raises a
-    plain :class:`MixtureError`."""
+def as_labels(value, count: int) -> np.ndarray:
+    """value as an integer array of ``count`` labels, negative ones too.  A
+    bool anywhere in it, a label of another dtype, a ragged value or another
+    count raises a plain :class:`MixtureError`.  An integer ndarray is
+    returned as it is, not copied."""
     try:
         labels = None if _fault(value) else np.asarray(value)
     except (ValueError, RecursionError):
         labels = None
     if labels is None or labels.shape != (count,) or labels.dtype.kind not in "iu":
         raise MixtureError(f"need one integer group label per component ({count}), got {value!r}")
-    return tuple(labels.tolist())
+    return labels
 
 
 def as_order(alpha) -> float:
@@ -102,6 +97,12 @@ def as_order(alpha) -> float:
     if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
         raise AlphaOutOfRange(f"chernoff order must be a real in [0, 1], got {alpha!r}")
     return float(alpha)
+
+
+def stacked(comps, *names):
+    """One array per named attribute, stacked over the components: only the
+    stacks a kernel reads are built and kept alive."""
+    return [np.array([getattr(c, name) for c in comps]) for name in names]
 
 
 def check_pair(a, b) -> None:
@@ -255,6 +256,4 @@ def log_sum_exp_axis0(matrix: np.ndarray) -> np.ndarray:
 
 def fsum(values) -> float:
     """Exactly rounded sum of an iterable or array of floats."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
     return math.fsum(values)

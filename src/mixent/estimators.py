@@ -157,7 +157,7 @@ def clustered_gap_bound(mixture: MixtureModel, labels, alpha: float) -> float:
     if alpha == 0.0:
         raise AlphaOutOfRange(f"gap bound needs alpha in (0, 1], got {alpha}")
     active = mixture.active_indices()
-    labels = np.asarray(as_labels(labels, mixture.n_components))[active]
+    labels = as_labels(labels, mixture.n_components)[active]
     kl = pairwise_distance_matrix(mixture, KL)
     bd = pairwise_distance_matrix(mixture, BHATTACHARYYA)
     same = labels[:, None] == labels[None, :]  # kl's zero diagonal cannot raise kappa
@@ -179,8 +179,9 @@ def clustered_gap_bound(mixture: MixtureModel, labels, alpha: float) -> float:
 class EstimateReport:
     """All analytic estimates for one mixture, plus an optional Monte Carlo row.
 
-    Whenever the four bracket entries are present they satisfy
-    h_cond <= h_bd <= h_kl <= h_joint.
+    The four bracket entries satisfy h_cond <= h_bd <= h_kl <= h_joint, but
+    for nearly identical components, whose distances are rounding noise near
+    zero: there h_bd can exceed h_kl by about an ulp.
     """
 
     h_cond: float

@@ -10,8 +10,8 @@ Eight experiment families are provided, four Gaussian and four uniform:
 
 Each experiment is one row of the sweep table ``_SWEEPS``: its default grid,
 and the generator that builds its mixture at one grid value.  A generator's
-sigma is read as every float is: a bool, a string, a NaN or more than one
-number raises a MixtureError.
+sigma, and the Wishart generator's dof, are read as every float is: a bool,
+a string, a NaN or more than one number raises a MixtureError.
 
 Every grid point derives its own generator and Monte Carlo seeds by hashing
 (master seed, experiment id, grid index) through numpy's SeedSequence, so
@@ -53,17 +53,22 @@ def _check_sizes(n_components, dim) -> None:
     as_count(dim, 1, "mixture dimension", MixtureError)
 
 
-def _as_sigma(sigma) -> float:
-    # a generator's sigma, read as every float is: True, "1" and NaN are refused
-    value = as_floats(sigma, "sigma")
-    if value.shape != ():
-        raise MixtureError(f"sigma must be one real number, got {sigma!r}")
-    return float(value)
+def _as_real(value, what: str) -> float:
+    # a generator's sigma or dof, read as every float is: True, "1" and NaN are refused
+    array = as_floats(value, what)
+    if array.shape != ():
+        raise MixtureError(f"{what} must be one real number, got {value!r}")
+    return float(array)
+
+
+def _check_dof(dof: float, dim: int) -> None:
+    if dof < dim:
+        raise DegreesOfFreedomTooSmall(f"wishart needs dof >= dim, got dof={dof}, dim={dim}")
 
 
 def _gen_spread(make, n_components, dim, sigma, seed):
     # shared body of the spread generators; make(mean) builds one component
-    sigma = _as_sigma(sigma)
+    sigma = _as_real(sigma, "sigma")
     rng = np.random.default_rng(seed)
     means = sigma * rng.standard_normal((n_components, dim))
     return MixtureModel(np.ones(n_components), [make(m) for m in means])
@@ -95,8 +100,7 @@ def wishart_bartlett(rng, dim: int, dof: float, scale: float) -> np.ndarray:
     if params.shape != (2,) or not params[1] > 0.0:
         raise MixtureError(f"wishart needs a real dof and a scale > 0, got {dof!r} and {scale!r}")
     dof, scale = params.tolist()
-    if dof < dim:
-        raise DegreesOfFreedomTooSmall(f"wishart needs dof >= dim, got dof={dof}, dim={dim}")
+    _check_dof(dof, dim)
     a = np.zeros((dim, dim))
     np.fill_diagonal(a, np.sqrt(rng.chisquare(dof - np.arange(dim))))
     lower = np.tril_indices(dim, -1)
@@ -109,15 +113,16 @@ def gen_gaussian_wishart(n_components: int, dim: int, dof: float, seed) -> Mixtu
 
     Covariances are drawn with scale matrix I / (10 + dof), so their mean is
     dof / (10 + dof) times the identity and approaches the identity as the
-    degrees of freedom grow.
+    degrees of freedom grow.  dof is read as sigma is, and checked against
+    dim, before anything is drawn.
     """
     _check_sizes(n_components, dim)
+    dof = _as_real(dof, "wishart dof")
+    _check_dof(dof, dim)
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_components, dim))
-    comps = [
-        GaussianComponent(m, wishart_bartlett(rng, dim, dof, 1.0 / (10.0 + dof)))
-        for m in means
-    ]
+    scale = 1.0 / (10.0 + dof)
+    comps = [GaussianComponent(m, wishart_bartlett(rng, dim, dof, scale)) for m in means]
     return MixtureModel(np.ones(n_components), comps)
 
 
@@ -125,7 +130,7 @@ def _gen_clustered(make, n_components, dim, clusters, sigma, seed, balanced):
     # shared body of the clustered generators; make(center) builds one component
     if as_count(clusters, 1, "clusters", MixtureError) > n_components:
         raise MixtureError(f"need 1 <= clusters <= components, got {clusters} of {n_components}")
-    sigma = _as_sigma(sigma)
+    sigma = _as_real(sigma, "sigma")
     rng = np.random.default_rng(seed)
     centers = sigma * rng.standard_normal((clusters, dim))
     if balanced:
@@ -171,7 +176,7 @@ def gen_uniform_gamma(n_components: int, dim: int, sigma: float, seed) -> Mixtur
     sigma must exceed -1, the shape's zero, or MixtureError is raised.
     """
     _check_sizes(n_components, dim)
-    sigma = _as_sigma(sigma)
+    sigma = _as_real(sigma, "sigma")
     if not sigma > -1.0:
         raise MixtureError(f"gamma sweep needs sigma > -1 for a positive shape, got {sigma!r}")
     rng = np.random.default_rng(seed)

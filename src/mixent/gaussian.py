@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from ._numeric import (as_count, as_floats, as_order, as_points, by_chunks, check_pair, chunk_width,
-                       forward_substitute)
+                       forward_substitute, stacked)
 from .errors import DimensionMismatch, NotPositiveDefinite
 
 __all__ = ["GaussianComponent", "gaussian_kl", "gaussian_chernoff", "gaussian_bd",
@@ -183,7 +183,7 @@ class GaussianComponent:
         term.  A column's arithmetic does not depend on the block it falls in.
         """
         n, d = len(comps), comps[0].dim
-        means, log_dets = _stacked(comps, "mean", "log_det")
+        means, log_dets = stacked(comps, "mean", "log_det")
         factors = np.concatenate([c.chol for c in comps], axis=1)
         step = max(1, _BLOCK_FLOATS // (d * n * (d + 1)))
         out = np.empty((n, n))
@@ -315,12 +315,6 @@ def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
 _BLOCK_FLOATS = 1 << 15
 
 
-def _stacked(comps, *names):
-    """One array per named attribute, stacked over the components: only the
-    stacks a kernel reads are built and kept alive."""
-    return [np.array([getattr(c, name) for c in comps]) for name in names]
-
-
 def _pair_terms(comps, rows, cols, w_row: float, w_col: float):
     """(D, q, ln|S|) for each pair (i, j) = (rows[k], cols[k]), with S_ij =
     w_row cov_i + w_col cov_j, L its Cholesky factor, q = |L^-1 (mean_i - mean_j)|^2
@@ -335,7 +329,7 @@ def _pair_terms(comps, rows, cols, w_row: float, w_col: float):
     commutes, so D does not depend on the order of its pair.  A pair's
     arithmetic does not depend on the block it falls in.
     """
-    means, covs = _stacked(comps, "mean", "cov")
+    means, covs = stacked(comps, "mean", "cov")
     step = max(1, _BLOCK_FLOATS // comps[0].dim ** 2)
     quad, log_det = np.empty(rows.size), np.empty(rows.size)
     for start in range(0, rows.size, step):

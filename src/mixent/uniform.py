@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from ._numeric import NEG_INF, as_count, as_floats, as_order, as_points, by_chunks, check_pair, fsum
+from ._numeric import (NEG_INF, as_count, as_floats, as_order, as_points, by_chunks, check_pair, fsum,
+                       stacked)
 from .errors import DegenerateBox, DimensionMismatch
 
 __all__ = ["UniformBox", "uniform_kl", "uniform_chernoff", "uniform_bd", "uniform_elk_log_cross",
@@ -107,7 +108,7 @@ class UniformBox:
     @classmethod
     def kl_matrix(cls, comps) -> np.ndarray:
         """KL(comps[i] || comps[j]) for every pair: +inf unless box j contains box i."""
-        lowers, uppers, log_volumes = _bounds(comps)
+        lowers, uppers, log_volumes = stacked(comps, "lower", "upper", "log_volume")
         out = np.empty((len(comps), len(comps)))
         for i, a in enumerate(comps):
             contained = _within(a.lower, a.upper, lowers, uppers)
@@ -187,11 +188,6 @@ def uniform_elk_cross(a: UniformBox, b: UniformBox) -> float:
 # scalar functions stay the reference.
 
 
-def _bounds(comps):
-    return (np.array([c.lower for c in comps]), np.array([c.upper for c in comps]),
-            np.array([c.log_volume for c in comps]))
-
-
 def _within(lower, upper, outer_lower, outer_upper) -> np.ndarray:
     """Whether box [lower, upper] lies in [outer_lower, outer_upper], per row."""
     return np.all(outer_lower <= lower, axis=-1) & np.all(upper <= outer_upper, axis=-1)
@@ -204,7 +200,7 @@ def _log_overlaps(comps):
     box, whose log volume is exact; this keeps identical boxes at distance
     exactly zero, as in the scalar form.
     """
-    lowers, uppers, log_volumes = _bounds(comps)
+    lowers, uppers, log_volumes = stacked(comps, "lower", "upper", "log_volume")
     out = np.empty((len(comps), len(comps)))
     for i, a in enumerate(comps):
         with np.errstate(over="ignore"):  # to -inf only, as in _log_overlap

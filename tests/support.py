@@ -84,6 +84,23 @@ def float_gaussian_elk_log_cross(a: GaussianComponent, b: GaussianComponent) -> 
     return -0.5 * (quad + log_det + a.dim * math.log(2.0 * math.pi))
 
 
+def _mp_gaussian_terms(mpmath, a: GaussianComponent, b: GaussianComponent):
+    """(KL(a || b), Bhattacharyya distance, ln int a b dx) as mpf values at the
+    working precision, each from the closed form of :func:`mp_gaussian_pair`."""
+    cov_a, cov_b, delta = _mp_inputs(mpmath, a, b)
+    log_det_a, log_det_b = _mp_log_det(mpmath, cov_a), _mp_log_det(mpmath, cov_b)
+    dim = a.dim
+    trace = sum(mpmath.lu_solve(cov_b, cov_a[:, k])[k] for k in range(dim))
+    kl = (log_det_b - log_det_a + trace + _mp_quad(mpmath, cov_b, delta) - dim) / 2
+    half = (cov_a + cov_b) / 2
+    bd = (_mp_quad(mpmath, half, delta) / 8
+          + (_mp_log_det(mpmath, half) - (log_det_a + log_det_b) / 2) / 2)
+    total = cov_a + cov_b
+    log_cross = -(_mp_quad(mpmath, total, delta) + _mp_log_det(mpmath, total)
+                  + dim * mpmath.log(2 * mpmath.pi)) / 2
+    return kl, bd, log_cross
+
+
 def mp_gaussian_pair(a: GaussianComponent, b: GaussianComponent) -> tuple[float, float, float]:
     """(KL(a || b), Bhattacharyya distance, ln int a b dx) at 60 digits, rounded to floats.
 
@@ -94,18 +111,7 @@ def mp_gaussian_pair(a: GaussianComponent, b: GaussianComponent) -> tuple[float,
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.mp.workdps(60):
-        cov_a, cov_b, delta = _mp_inputs(mpmath, a, b)
-        log_det_a, log_det_b = _mp_log_det(mpmath, cov_a), _mp_log_det(mpmath, cov_b)
-        dim = a.dim
-        trace = sum(mpmath.lu_solve(cov_b, cov_a[:, k])[k] for k in range(dim))
-        kl = (log_det_b - log_det_a + trace + _mp_quad(mpmath, cov_b, delta) - dim) / 2
-        half = (cov_a + cov_b) / 2
-        bd = (_mp_quad(mpmath, half, delta) / 8
-              + (_mp_log_det(mpmath, half) - (log_det_a + log_det_b) / 2) / 2)
-        total = cov_a + cov_b
-        log_cross = -(_mp_quad(mpmath, total, delta) + _mp_log_det(mpmath, total)
-                      + dim * mpmath.log(2 * mpmath.pi)) / 2
-        return float(kl), float(bd), float(log_cross)
+        return tuple(float(term) for term in _mp_gaussian_terms(mpmath, a, b))
 
 
 def mp_gaussian_chernoff(a: GaussianComponent, b: GaussianComponent, alpha: float) -> float:
@@ -132,6 +138,29 @@ def _mp_log_volume(mpmath, sides):
     return mpmath.fsum(mpmath.log(mpf(s.numerator)) - mpmath.log(mpf(s.denominator)) for s in sides)
 
 
+def _box_sides(box: UniformBox) -> list[Fraction]:
+    """The sides of a box, each formed exactly from its float bounds."""
+    return [Fraction(u) - Fraction(lo) for lo, u in zip(box.lower.tolist(), box.upper.tolist())]
+
+
+def _mp_box_terms(mpmath, a: UniformBox, b: UniformBox, alpha: float):
+    """(KL(a || b), C_alpha(a || b), ln int a b dx) as mpf values at the
+    working precision, +inf and -inf where :func:`mp_box_pair` says."""
+    lower_a, upper_a, lower_b, upper_b = (
+        [Fraction(x) for x in bound.tolist()] for bound in (a.lower, a.upper, b.lower, b.upper))
+    overlap = [min(ua, ub) - max(la, lb)
+               for la, ua, lb, ub in zip(lower_a, upper_a, lower_b, upper_b)]
+    contained = all(lb <= la and ua <= ub
+                    for la, ua, lb, ub in zip(lower_a, upper_a, lower_b, upper_b))
+    log_a, log_b = _mp_log_volume(mpmath, _box_sides(a)), _mp_log_volume(mpmath, _box_sides(b))
+    kl = log_b - log_a if contained else mpmath.inf
+    if min(overlap) <= 0:
+        return kl, mpmath.inf, -mpmath.inf
+    log_ab = _mp_log_volume(mpmath, overlap)
+    order = mpmath.mpf(alpha)
+    return kl, order * log_a + (1 - order) * log_b - log_ab, log_ab - log_a - log_b
+
+
 def mp_box_pair(a: UniformBox, b: UniformBox, alpha: float = 0.5) -> tuple[float, float, float]:
     """(KL(a || b), C_alpha(a || b), ln int a b dx) at 60 digits, rounded to floats.
 
@@ -146,22 +175,71 @@ def mp_box_pair(a: UniformBox, b: UniformBox, alpha: float = 0.5) -> tuple[float
     distance.  It shares no code with the package.
     """
     mpmath = pytest.importorskip("mpmath")
-    lower_a, upper_a, lower_b, upper_b = (
-        [Fraction(x) for x in bound.tolist()] for bound in (a.lower, a.upper, b.lower, b.upper))
-    overlap = [min(ua, ub) - max(la, lb)
-               for la, ua, lb, ub in zip(lower_a, upper_a, lower_b, upper_b)]
-    contained = all(lb <= la and ua <= ub
-                    for la, ua, lb, ub in zip(lower_a, upper_a, lower_b, upper_b))
     with mpmath.mp.workdps(60):
-        log_a = _mp_log_volume(mpmath, [u - lo for lo, u in zip(lower_a, upper_a)])
-        log_b = _mp_log_volume(mpmath, [u - lo for lo, u in zip(lower_b, upper_b)])
-        kl = float(log_b - log_a) if contained else math.inf
-        if min(overlap) <= 0:
-            return kl, math.inf, -math.inf
-        log_ab = _mp_log_volume(mpmath, overlap)
-        order = mpmath.mpf(alpha)
-        chernoff = order * log_a + (1 - order) * log_b - log_ab
-        return kl, float(chernoff), float(log_ab - log_a - log_b)
+        return tuple(float(term) for term in _mp_box_terms(mpmath, a, b, alpha))
+
+
+def _mp_entropy(mpmath, comp):
+    """A component's differential entropy as an mpf: ln V for a box, and
+    (ln det cov + d ln 2 pi + d) / 2 for a Gaussian."""
+    if isinstance(comp, UniformBox):
+        return _mp_log_volume(mpmath, _box_sides(comp))
+    log_det = _mp_log_det(mpmath, mpmath.matrix(comp.cov.tolist()))
+    return (log_det + comp.dim * (mpmath.log(2 * mpmath.pi) + 1)) / 2
+
+
+def _identical(a, b) -> bool:
+    if isinstance(a, UniformBox):
+        return np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)
+    return np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+
+
+def mp_bracket(mixture: MixtureModel) -> dict:
+    """h_cond, h_bd, h_kl, h_elk and h_joint of a mixture at 60 digits, as mpf values.
+
+    The positive-weight components and their float weights are taken as
+    exact.  Every pair's KL, Bhattacharyya and ELK terms come from the
+    formulas of :func:`mp_gaussian_pair` and :func:`mp_box_pair`, and no term
+    is rounded to a float.  Identical components are exactly zero apart, as
+    the package defines D(p || p) = 0.  Then, with mpmath ``exp``, ``log`` and
+    ``fsum``: H(X|C) = sum_i c_i H(p_i), H(C) = -sum_i c_i ln c_i,
+    h_D = H(X|C) - sum_i c_i min(0, ln sum_j c_j exp(-D_ij)) for D = BD and
+    KL, h_elk = -sum_i c_i ln sum_j c_j int p_i p_j, and h_joint =
+    H(X|C) + H(C).  It shares no code with the package.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    active = np.flatnonzero(mixture.weights > 0).tolist()
+    comps = [mixture.components[k] for k in active]
+    n = len(comps)
+    with mpmath.mp.workdps(60):
+        weights = [mpmath.mpf(float(mixture.weights[k])) for k in active]
+        kl, bd, log_cross = ([[mpmath.mpf(0)] * n for _ in range(n)] for _ in range(3))
+        for i in range(n):
+            for j in range(n):
+                a, b = comps[i], comps[j]
+                if isinstance(a, UniformBox):
+                    terms = _mp_box_terms(mpmath, a, b, 0.5)
+                else:
+                    terms = _mp_gaussian_terms(mpmath, a, b)
+                if not _identical(a, b):
+                    kl[i][j], bd[i][j] = terms[0], terms[1]
+                log_cross[i][j] = terms[2]
+
+        def log_mix(exponents):  # ln sum_j c_j exp(exponents[j])
+            return mpmath.log(mpmath.fsum(c * mpmath.exp(e) for c, e in zip(weights, exponents)))
+
+        def mixing_term(dist):
+            return mpmath.fsum(weights[i] * min(0, log_mix([-d for d in dist[i]]))
+                               for i in range(n))
+
+        h_cond = mpmath.fsum(c * _mp_entropy(mpmath, comp) for c, comp in zip(weights, comps))
+        return {
+            "h_cond": h_cond,
+            "h_bd": h_cond - mixing_term(bd),
+            "h_kl": h_cond - mixing_term(kl),
+            "h_elk": -mpmath.fsum(weights[i] * log_mix(log_cross[i]) for i in range(n)),
+            "h_joint": h_cond - mpmath.fsum(c * mpmath.log(c) for c in weights),
+        }
 
 
 def random_gaussian_mixture(

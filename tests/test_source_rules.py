@@ -194,16 +194,16 @@ def test_booleans_are_refused_in_one_module():
     assert not found, f"bool checks outside _numeric.py: {found}"
 
 
-def test_group_labels_are_read_at_one_place():
-    # A grouping is plain labels; clustered_gap_bound, their one reader, checks
-    # them with _numeric.as_labels, and nothing wraps or checks them again.
-    def scopes(path):  # innermost enclosing function of each as_labels call
+def _call_scopes(name):
+    """'module.py:function' of each call of ``name`` in the package, by the
+    innermost enclosing function."""
+    def scopes(path):
         found = []
 
         def visit(node, scope):
             if isinstance(node, ast.FunctionDef):
                 scope = node.name
-            if isinstance(node, ast.Call) and "as_labels" in _names(node.func):
+            if isinstance(node, ast.Call) and name in _names(node.func):
                 found.append(f"{path.name}:{scope}")
             for child in ast.iter_child_nodes(node):
                 visit(child, scope)
@@ -213,8 +213,22 @@ def test_group_labels_are_read_at_one_place():
 
     sources = sorted(Path(mixent.__file__).parent.glob("*.py"))
     assert any(path.name == "estimators.py" for path in sources)
-    found = [scope for path in sources for scope in scopes(path)]
+    return [scope for path in sources for scope in scopes(path)]
+
+
+def test_group_labels_are_read_at_one_place():
+    # A grouping is plain labels; clustered_gap_bound, their one reader, checks
+    # them with _numeric.as_labels, and nothing wraps or checks them again.
+    found = _call_scopes("as_labels")
     assert found == ["estimators.py:clustered_gap_bound"], found
+
+
+def test_pair_kernels_stack_component_attributes_with_one_helper():
+    # _numeric.stacked builds the attribute stacks of both families' kernels;
+    # neither family module keeps a stacking helper of its own.
+    found = sorted(_call_scopes("stacked"))
+    assert found == ["gaussian.py:_pair_terms", "gaussian.py:kl_matrix",
+                     "uniform.py:_log_overlaps", "uniform.py:kl_matrix"], found
 
 
 def test_cli_options_state_no_defaults():
