@@ -79,8 +79,7 @@ def as_floats(value, what: str) -> np.ndarray:
 def as_labels(value, count: int) -> np.ndarray:
     """value as an integer array of ``count`` labels, negative ones too.  A
     bool anywhere in it, a label of another dtype, a ragged value or another
-    count raises a plain :class:`MixtureError`.  An integer ndarray is
-    returned as it is, not copied."""
+    count raises a plain :class:`MixtureError`."""
     try:
         labels = None if _fault(value) else np.asarray(value)
     except (ValueError, RecursionError):

@@ -71,12 +71,9 @@ def pairwise_distance_matrix(mixture: MixtureModel, kind: DistanceKind) -> np.nd
 
 
 def _active(mixture: MixtureModel, matrix: np.ndarray):
-    """(weights, matrix) restricted to the positive-weight components; the
-    matrix is not copied when every weight is positive."""
+    """(weights, matrix) restricted to the positive-weight components."""
     active = mixture.active_indices()
-    if active.size < matrix.shape[0]:
-        matrix = matrix[np.ix_(active, active)]
-    return mixture.weights[active], matrix
+    return mixture.weights[active], matrix[np.ix_(active, active)]
 
 
 def _mixing_term(mixture: MixtureModel, dmat: np.ndarray) -> float:

@@ -87,13 +87,12 @@ class MixtureModel:
         Computed as a max-shifted log-sum-exp over ln c_k + ln p_k(x) with
         zero-weight components left out of the index set; a point outside
         every support maps to -inf.  The points are streamed in fixed
-        blocks.  Each block is copied with the points on the last axis into
-        one reused (d, block) buffer, as the Monte Carlo check's grouped
-        draws are, and evaluated by the same block routine, which takes the
-        block's columns in chunks of a fixed number of coordinates.  So
-        memory is that buffer, the K x block row buffer and a Gaussian's two
-        work buffers of at most 40 960 + d floats each (up to d = 640), for
-        any batch size.
+        blocks.  Each block is copied once with the points on the last axis
+        and evaluated by the same block routine that the Monte Carlo check
+        runs on its grouped draws, which takes the block's columns in chunks
+        of a fixed number of coordinates.  So memory is the (d, block) copy,
+        the K x block row buffer and a Gaussian's two work buffers of at most
+        40 960 + d floats each (up to d = 640), for any batch size.
 
         In batches of two or more points, a point's value does not depend on
         which batch it came in: bit for bit up to d = 10 and for boxes.
@@ -104,11 +103,9 @@ class MixtureModel:
         pts, single = as_points(x, self.dim, "mixture")
         n = pts.shape[0]
         evaluate = self._block_log_density(n)
-        buffer = np.empty((self.dim, min(n, BLOCK + 1)))
         out = np.empty(n)
         for start, stop in spans(n, BLOCK):
-            buffer[:, : stop - start] = pts[start:stop].T
-            out[start:stop] = evaluate(buffer[:, : stop - start])
+            out[start:stop] = evaluate(np.ascontiguousarray(pts[start:stop].T))
         return float(out[0]) if single else out
 
     def _block_log_density(self, n: int):

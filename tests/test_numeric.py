@@ -231,13 +231,13 @@ def test_float_intake_takes_every_real_leaf_and_dtype():
 
 
 def test_labels_are_read_as_an_integer_array():
-    # The one reader indexes the labels, so they come back as an array, and
-    # an integer ndarray is passed through without a copy.
+    # The one reader indexes the labels, so they come back as an array.
     labels = as_labels([3, -1, 3], 3)
     assert isinstance(labels, np.ndarray) and labels.dtype.kind == "i"
     assert labels.tolist() == [3, -1, 3]
-    narrow = np.array([0, 2, 1], np.uint8)
-    assert as_labels(narrow, 3) is narrow
+    narrow = as_labels(np.array([0, 2, 1], np.uint8), 3)
+    assert isinstance(narrow, np.ndarray) and narrow.dtype.kind in "iu"
+    assert narrow.tolist() == [0, 2, 1]
 
 
 @pytest.mark.parametrize("step", [64, 640, BLOCK])
