@@ -3,8 +3,11 @@
 the one stacking of component attributes for the pair kernels,
 order-stable summation, careful log-sum-exp (the row form sums each row
 exactly from integer limbs, bit for bit as math.fsum would), the
-package's one triangular solve, on stacked vectors, and the one rule that
-splits points into blocks and a block's columns into chunks.
+package's one triangular solve, on stacked vectors, and the one rule,
+``spans``, that splits points into blocks, a block's columns into chunks,
+and the Gaussian kernels' columns and pairs into blocks; a run holds one
+item more than its step, if that is 2 or more, where a lone last item
+joins it.
 
 Every constructor and scalar function reads its arguments through these
 rules, so a boolean is refused wherever a number is taken, by the library
@@ -156,11 +159,14 @@ def spans(n: int, step: int):
 
     A lone last item joins the run before it: a one-point block or a
     one-column chunk takes other BLAS and summation routes and rounds
-    differently.  So for n >= 2 every run has from two to step + 1 items.
+    differently.  So for n >= 2 and step >= 2 every run has from two to
+    step + 1 items.  At step 1 every run is one item, so none is lone and
+    none is merged: a step of 1 means that one item alone fills a block.
     """
+    last = step + 1 if step > 1 else 1  # the most items of the last run
     start = 0
     while start < n:
-        stop = n if n - start <= step + 1 else start + step
+        stop = n if n - start <= last else start + step
         yield start, stop
         start = stop
 

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from ._numeric import (as_count, as_floats, as_order, as_points, by_chunks, check_pair, chunk_width,
-                       forward_substitute, stacked)
+                       forward_substitute, spans, stacked)
 from .errors import DimensionMismatch, NotPositiveDefinite
 
 __all__ = ["GaussianComponent", "gaussian_kl", "gaussian_chernoff", "gaussian_bd",
@@ -187,8 +187,8 @@ class GaussianComponent:
         factors = np.concatenate([c.chol for c in comps], axis=1)
         step = max(1, _BLOCK_FLOATS // (d * n * (d + 1)))
         out = np.empty((n, n))
-        for start in range(0, n, step):
-            js = slice(start, start + step)
+        for start, stop in spans(n, step):
+            js = slice(start, stop)
             inv = np.array([c.inv_chol for c in comps[js]])
             a = inv @ factors
             with np.errstate(over="ignore", invalid="ignore"):  # as in _mahalanobis_sq
@@ -309,9 +309,12 @@ def gaussian_elk_cross(a: GaussianComponent, b: GaussianComponent) -> float:
 # the ELK one is a view of its kernel, whose float reference is in the tests.
 
 # Floats per stacked temporary: a block of _pair_terms holds
-# max(1, _BLOCK_FLOATS // d^2) pairs and a block of kl_matrix
-# max(1, _BLOCK_FLOATS // (d N (d + 1))) columns, so their memory is the same
-# at any N and d (unless one pair or column alone exceeds it).
+# s = max(1, _BLOCK_FLOATS // d^2) pairs and a block of kl_matrix
+# s = max(1, _BLOCK_FLOATS // (d N (d + 1))) columns, as split by spans, so
+# their memory is the same at any N and d (unless one pair or column alone
+# exceeds it).  The last block can hold s + 1, when spans merges a lone last
+# item into it; at s = 1 it merges none, so a block never holds two items
+# that each exceed the budget.
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -332,8 +335,8 @@ def _pair_terms(comps, rows, cols, w_row: float, w_col: float):
     means, covs = stacked(comps, "mean", "cov")
     step = max(1, _BLOCK_FLOATS // comps[0].dim ** 2)
     quad, log_det = np.empty(rows.size), np.empty(rows.size)
-    for start in range(0, rows.size, step):
-        block = slice(start, start + step)
+    for start, stop in spans(rows.size, step):
+        block = slice(start, stop)
         i, j = rows[block], cols[block]
         chol = np.linalg.cholesky(w_row * covs[i] + w_col * covs[j])
         quad[block] = _mahalanobis_sq(chol, means[i], means[j])

@@ -1,9 +1,12 @@
 """Independent oracles: Monte Carlo entropy and one-dimensional quadrature.
 
 These deliberately share no formulas with the closed-form modules; they exist
-to cross-check them.  The quadrature routines use composite Simpson rules on
-uniform grids, splitting the integration range at box-support edges so that
-piecewise-smooth integrands are handled at full accuracy.
+to cross-check them.  Both quadrature routines run one segment loop,
+``_integrate``, and differ only in their integrand: it splits the
+integration range at box-support edges, so that piecewise-smooth
+integrands are handled at full accuracy, applies a composite Simpson rule
+on a uniform grid in each segment, and gives +inf for an integrand that is
+infinite anywhere.
 """
 
 from __future__ import annotations
@@ -104,11 +107,6 @@ def _box_edges(component) -> list[float]:
     return [lo, hi] if is_box else []
 
 
-def _segments(lo: float, hi: float, edges) -> list[tuple[float, float]]:
-    cuts = sorted({lo, hi, *(e for e in edges if lo < e < hi)})
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def _component_density(component, xs: np.ndarray, midpoint: float) -> np.ndarray:
     """Component density on a grid that lies inside one smooth segment.
 
@@ -123,9 +121,23 @@ def _component_density(component, xs: np.ndarray, midpoint: float) -> np.ndarray
     return np.exp(component.log_density(xs[:, None]))
 
 
-def _segment_points(total_points: int, length: float, full_length: float) -> int:
-    share = max(int(round(total_points * length / full_length)), 9)
-    return share + 1 if share % 2 == 0 else share
+def _integrate(integrand, lo: float, hi: float, edges, points: int) -> float:
+    """The composite Simpson value of integrand(xs, midpoint) over [lo, hi].
+
+    The range is cut at the edges inside it, and each segment takes its
+    share of ``points``, at least 9 and made odd, on a uniform grid xs, with
+    the segment's midpoint.  An infinite integrand value anywhere gives
+    exactly ``math.inf``: for KL, p has mass where q vanishes.
+    """
+    cuts = sorted({lo, hi, *(e for e in edges if lo < e < hi)})
+    pieces = []
+    for s0, s1 in zip(cuts[:-1], cuts[1:]):
+        n = max(int(round(points * (s1 - s0) / (hi - lo))), 9) | 1
+        values = integrand(np.linspace(s0, s1, n), 0.5 * (s0 + s1))
+        if np.isinf(values).any():
+            return math.inf
+        pieces.append(_simpson(values, (s1 - s0) / (n - 1)))
+    return fsum(pieces)
 
 
 def quad_entropy_1d(mixture: MixtureModel, lo: float, hi: float, points: int = 10001) -> float:
@@ -144,18 +156,15 @@ def quad_entropy_1d(mixture: MixtureModel, lo: float, hi: float, points: int = 1
     points = as_count(points, _MIN_POINTS, "the number of quadrature points")
 
     edges = [e for k in mixture.active_indices() for e in _box_edges(mixture.components[k])]
-    pieces = []
-    for s0, s1 in _segments(lo, hi, edges):
-        n = _segment_points(points, s1 - s0, hi - lo)
-        xs = np.linspace(s0, s1, n)
-        mid = 0.5 * (s0 + s1)
-        dens = np.zeros(n)
+
+    def integrand(xs, mid):
+        dens = np.zeros(xs.size)
         for k in mixture.active_indices():
             dens += mixture.weights[k] * _component_density(mixture.components[k], xs, mid)
         with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = np.where(dens > 0, -dens * np.log(dens), 0.0)
-        pieces.append(_simpson(integrand, (s1 - s0) / (n - 1)))
-    return fsum(pieces)
+            return np.where(dens > 0, -dens * np.log(dens), 0.0)
+
+    return _integrate(integrand, lo, hi, edges, points)
 
 
 def quad_cross_term_1d(p, q, kind: str, alpha: float | None = None, points: int = 20001) -> float:
@@ -182,30 +191,19 @@ def quad_cross_term_1d(p, q, kind: str, alpha: float | None = None, points: int 
         raise MixtureError(f"unknown integrand kind {kind!r}")
 
     (p_lo, p_hi, _), (q_lo, q_hi, _) = _cover(p), _cover(q)
-    lo, hi = min(p_lo, q_lo), max(p_hi, q_hi)
-    if kind == "kl":
-        # the integrand vanishes with p, so p's own cover suffices
-        lo, hi = p_lo, p_hi
-    edges = _box_edges(p) + _box_edges(q)
+    # The KL integrand vanishes with p, so p's own cover suffices.
+    lo, hi = (p_lo, p_hi) if kind == "kl" else (min(p_lo, q_lo), max(p_hi, q_hi))
 
-    pieces = []
-    for s0, s1 in _segments(lo, hi, edges):
-        n = _segment_points(points, s1 - s0, hi - lo)
-        xs = np.linspace(s0, s1, n)
-        mid = 0.5 * (s0 + s1)
-        dp = _component_density(p, xs, mid)
-        dq = _component_density(q, xs, mid)
+    def integrand(xs, mid):
+        dp, dq = _component_density(p, xs, mid), _component_density(q, xs, mid)
         if kind == "product":
-            integrand = dp * dq
-        elif kind == "sqrt_product":
-            integrand = np.sqrt(dp * dq)
-        elif kind == "chernoff":
-            integrand = dp**alpha * dq ** (1.0 - alpha)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(dp > 0, dp / dq, 1.0)
-                integrand = np.where(dp > 0, dp * np.log(ratio), 0.0)
-            if np.any(np.isinf(integrand)):
-                return math.inf
-        pieces.append(_simpson(integrand, (s1 - s0) / (n - 1)))
-    return fsum(pieces)
+            return dp * dq
+        if kind == "sqrt_product":
+            return np.sqrt(dp * dq)
+        if kind == "chernoff":
+            return dp**alpha * dq ** (1.0 - alpha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(dp > 0, dp / dq, 1.0)
+            return np.where(dp > 0, dp * np.log(ratio), 0.0)
+
+    return _integrate(integrand, lo, hi, _box_edges(p) + _box_edges(q), points)

@@ -1,7 +1,9 @@
 """Axis-aligned uniform components: exact entropies, overlaps, and divergences.
 
 Volumes are kept in the log domain throughout so that high-dimensional boxes
-with small sides neither underflow nor overflow.
+with small sides neither underflow nor overflow.  The matrix kernels decide
+which box lies in which once, in one containment matrix: KL is finite
+exactly where it holds, and a nested pair overlaps in its inner box.
 """
 
 from __future__ import annotations
@@ -109,11 +111,8 @@ class UniformBox:
     def kl_matrix(cls, comps) -> np.ndarray:
         """KL(comps[i] || comps[j]) for every pair: +inf unless box j contains box i."""
         lowers, uppers, log_volumes = stacked(comps, "lower", "upper", "log_volume")
-        out = np.empty((len(comps), len(comps)))
-        for i, a in enumerate(comps):
-            contained = _within(a.lower, a.upper, lowers, uppers)
-            out[i] = np.where(contained, np.maximum(log_volumes - a.log_volume, 0.0), math.inf)
-        return out
+        gaps = np.maximum(log_volumes - log_volumes[:, None], 0.0)
+        return np.where(_inside(lowers, uppers), gaps, math.inf)
 
     @classmethod
     def chernoff_matrix(cls, comps, alpha: float) -> np.ndarray:
@@ -182,15 +181,20 @@ def uniform_elk_cross(a: UniformBox, b: UniformBox) -> float:
 
 # Helpers of the matrix kernels, the classmethods of UniformBox.  Entry
 # [i, j] of a kernel equals the scalar function above at
-# (comps[i], comps[j]) to rounding, computed in N vectorised steps over
-# broadcast bounds, each holding O(N d) memory.  The Chernoff and ELK
-# matrices share one log-overlap matrix; KL needs only containment.  The
-# scalar functions stay the reference.
+# (comps[i], comps[j]) to rounding.  The Chernoff and ELK matrices share one
+# log-overlap matrix, formed in N vectorised steps over broadcast bounds,
+# each holding O(N d) memory.  Both it and KL read one containment matrix,
+# formed in d steps of O(N^2) booleans.  The scalar functions stay the
+# reference.
 
 
-def _within(lower, upper, outer_lower, outer_upper) -> np.ndarray:
-    """Whether box [lower, upper] lies in [outer_lower, outer_upper], per row."""
-    return np.all(outer_lower <= lower, axis=-1) & np.all(upper <= outer_upper, axis=-1)
+def _inside(lowers, uppers) -> np.ndarray:
+    """inside[i, j]: whether box i lies in box j, for bounds stacked as (N, d),
+    compared one axis at a time, so no (N, N, d) temporary is made."""
+    inside = np.ones((len(lowers), len(lowers)), dtype=bool)
+    for lower, upper in zip(lowers.T, uppers.T):
+        inside &= (lower <= lower[:, None]) & (upper[:, None] <= upper)
+    return inside
 
 
 def _log_overlaps(comps):
@@ -207,9 +211,10 @@ def _log_overlaps(comps):
             sides = np.minimum(a.upper, uppers) - np.maximum(a.lower, lowers)
         positive = sides > 0
         log_sides = np.log(np.where(positive, sides, 1.0)).sum(axis=1)
-        row = np.where(positive.all(axis=1), log_sides, NEG_INF)
-        row = np.where(_within(a.lower, a.upper, lowers, uppers), a.log_volume, row)
-        out[i] = np.where(_within(lowers, uppers, a.lower, a.upper), log_volumes, row)
+        out[i] = np.where(positive.all(axis=1), log_sides, NEG_INF)
+    inside = _inside(lowers, uppers)
+    np.copyto(out, log_volumes[:, None], where=inside)
+    np.copyto(out, log_volumes, where=inside.T)  # box j in box i wins
     return out, log_volumes
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import io
 import math
 import os
 import subprocess
 import sys
+import tokenize
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +36,28 @@ def peak_bytes(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING, tokenize.ENDMARKER}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(path) -> int:
+    """The code lines of a Python source file: each line that a token other
+    than a comment touches (every line of a statement or string that spans
+    several), less the docstrings of the module, its classes and its
+    functions.  Blank lines and comment lines are not code."""
+    text = Path(path).read_text()
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
 
 
 def nested(depth: int) -> str:

@@ -326,6 +326,8 @@ def test_box_half_pass_on_grid_placements(seed):
         assert (UniformBox.chernoff_matrix(boxes, alpha)[identical] == 0.0).all(), alpha
     sides = np.minimum(uppers[:, None], uppers) - np.maximum(lowers[:, None], lowers)
     assert np.array_equal(np.isneginf(elk), (sides <= 0.0).any(axis=-1))
+    # Containment decides KL, with identical and nested boxes among these.
+    assert np.array_equal(UniformBox.kl_matrix(boxes), scalar_matrix(uniform_kl, boxes))
 
 
 @pytest.mark.parametrize(
@@ -377,7 +379,8 @@ def test_identical_components_are_exactly_zero_apart(kind, seed):
 @pytest.mark.parametrize("n", [1, 2, 20])
 def test_pair_blocks_do_not_change_the_matrices(monkeypatch, n):
     # At d = 13 a default block holds 32768 // 169 = 193 pairs, so n = 20
-    # (210 unordered and 380 ordered pairs) straddles a block edge.
+    # (210 unordered and 380 ordered pairs) straddles a block edge.  Blocks
+    # of 11 pairs leave a lone 210th pair, which spans merges into the last.
     dim = 13
     comps = gaussian_comps(np.random.default_rng(n), n, dim)
 
@@ -390,16 +393,17 @@ def test_pair_blocks_do_not_change_the_matrices(monkeypatch, n):
     bd, elk = default[:2]
     assert np.array_equal(bd, bd.T) and np.array_equal(elk, elk.T)
     assert (np.diag(bd) == 0.0).all() and bd[0, -1] == 0.0
-    for pairs in (1, 7):
+    for pairs in (1, 7, 11):
         monkeypatch.setattr(mixent.gaussian, "_BLOCK_FLOATS", pairs * dim * dim)
         for blocked, reference in zip(matrices(), default):
             assert np.array_equal(blocked, reference)
 
 
-@pytest.mark.parametrize("columns", [1, 2, 9])
+@pytest.mark.parametrize("columns", [1, 2, 9, 19])
 def test_kl_column_blocks_do_not_change_the_matrix(monkeypatch, columns):
     # At d = 13, N = 20 one KL column takes d N (d + 1) = 3640 floats of the
-    # budget, so a default block holds 9 columns and N = 20 ends in a partial block.
+    # budget, so a default block holds 9 columns and N = 20 ends in a partial
+    # block.  At 19 columns spans merges the lone 20th into the block.
     dim, n = 13, 20
     comps = gaussian_comps(np.random.default_rng(13), n, dim)
     per_column = dim * n * (dim + 1)

@@ -303,6 +303,9 @@ def test_cross_term_kl_examples():
     outer = UniformBox([-0.5], [1.5])
     assert math.isclose(quad_cross_term_1d(inner, outer, "kl"), math.log(2.0), abs_tol=1e-12)
     assert quad_cross_term_1d(outer, inner, "kl") == math.inf
+    # Infinite only after a finite segment: q = [-1, 1] vanishes on [1, 2].
+    assert quad_cross_term_1d(UniformBox([0.0], [2.0]), UniformBox([-1.0], [1.0]), "kl") == math.inf
+    assert quad_cross_term_1d(a, inner, "kl") == math.inf
 
 
 def test_cross_term_kl_box_against_gaussian():

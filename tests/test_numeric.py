@@ -250,6 +250,14 @@ def test_spans_cover_in_order_and_merge_a_lone_last_item(step):
         assert all(size == step for size in sizes[:-1])
 
 
+def test_spans_of_step_one_are_single_items():
+    # A step of 1 means one item alone fills a block (a Gaussian KL column at
+    # d = 60, N = 20 is 73 200 floats against a 32 768-float budget), so no
+    # last item is lone and merging two would double the block's memory.
+    for n in [0, 1, 2, 3, 20]:
+        assert list(spans(n, 1)) == [(k, k + 1) for k in range(n)]
+
+
 def test_chunks_are_derived_from_the_dimension_alone():
     # A chunk is the most multiples of 64 columns whose coordinates fit in
     # 40 960, and 64 where even those do not fit; up to ten dimensions a

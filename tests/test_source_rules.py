@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import mixent
-from support import run_python
+from support import code_lines, run_python
 
 
 def test_no_assert_statements_in_the_package():
@@ -194,16 +194,16 @@ def test_booleans_are_refused_in_one_module():
     assert not found, f"bool checks outside _numeric.py: {found}"
 
 
-def _call_scopes(name):
-    """'module.py:function' of each call of ``name`` in the package, by the
-    innermost enclosing function."""
+def _call_scopes(name, test=lambda call: True):
+    """'module.py:function' of each call of ``name`` in the package for
+    which test(call) holds, by the innermost enclosing function."""
     def scopes(path):
         found = []
 
         def visit(node, scope):
             if isinstance(node, ast.FunctionDef):
                 scope = node.name
-            if isinstance(node, ast.Call) and name in _names(node.func):
+            if isinstance(node, ast.Call) and name in _names(node.func) and test(node):
                 found.append(f"{path.name}:{scope}")
             for child in ast.iter_child_nodes(node):
                 visit(child, scope)
@@ -229,6 +229,45 @@ def test_pair_kernels_stack_component_attributes_with_one_helper():
     found = sorted(_call_scopes("stacked"))
     assert found == ["gaussian.py:_pair_terms", "gaussian.py:kl_matrix",
                      "uniform.py:_log_overlaps", "uniform.py:kl_matrix"], found
+
+
+def test_block_loops_split_with_spans():
+    # Every loop over blocks of points, pairs or columns splits with
+    # _numeric.spans, the package's one split rule, which merges a lone last
+    # item into the run before it; range(0, n, step) would leave it alone.
+    found = _call_scopes("range", lambda call: len(call.args) == 3)
+    assert not found, f"range calls with a step: {found}"
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
+    # The package's size measure: a statement or string over several lines
+    # counts each; a string that is not the first statement of its body is code.
+    path = tmp_path / "sample.py"
+    path.write_text('''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    x = """a string that is
+    not a docstring"""
+
+    def f(self, y):
+        """Function docstring."""
+        return (y +
+                1)
+
+
+async def g():
+    'A docstring in single quotes.'
+    "a second string statement"
+''')
+    assert code_lines(path) == 9
 
 
 def test_cli_options_state_no_defaults():
